@@ -7,8 +7,13 @@
 namespace fgpu::mem {
 
 Cache::Cache(CacheConfig config, MemPort* lower)
-    : config_(std::move(config)), lower_(lower), trace_name_(config_.name) {
+    : config_(std::move(config)),
+      set_mask_(config_.num_sets() - 1),
+      set_shift_(log2_floor(config_.num_sets())),
+      lower_(lower),
+      trace_name_(config_.name) {
   assert(is_pow2(config_.size_bytes) && "cache size must be a power of two");
+  assert(is_pow2(config_.ways) && "cache ways must be a power of two");
   assert(config_.num_lines() % config_.ways == 0);
   lines_.resize(config_.num_lines());
   set_conflicts_.resize(config_.num_sets(), 0);
@@ -61,7 +66,7 @@ void Cache::install(uint32_t line_addr) {
     ++set_conflicts_[set];
     if (victim->dirty) {
       ++stats_.writebacks;
-      const uint32_t victim_line = victim->tag * config_.num_sets() + set;
+      const uint32_t victim_line = (victim->tag << set_shift_) | set;
       writeback_queue_.push_back(
           MemRequest{.id = 0, .addr = victim_line << kLineShift, .is_write = true});
     }
@@ -91,15 +96,18 @@ void Cache::send(const MemRequest& req) {
   }
 
   // Already being fetched? Merge into the MSHR (no extra lower traffic).
-  for (auto& mshr : mshrs_) {
-    if ((!mshr.waiters.empty() || mshr.fill_sent) && mshr.line_addr == line_addr) {
-      ++stats_.mshr_merges;
-      ++stats_.misses;
-      if (profiler_) {
-        profiler_->on_merge(line_addr, req.pc, static_cast<MissClass>(mshr.miss_class));
+  // mshr_used_ counts exactly the MSHRs this scan can match.
+  if (mshr_used_ > 0) {
+    for (auto& mshr : mshrs_) {
+      if ((!mshr.waiters.empty() || mshr.fill_sent) && mshr.line_addr == line_addr) {
+        ++stats_.mshr_merges;
+        ++stats_.misses;
+        if (profiler_) {
+          profiler_->on_merge(line_addr, req.pc, static_cast<MissClass>(mshr.miss_class));
+        }
+        mshr.waiters.push_back(req);
+        return;
       }
-      mshr.waiters.push_back(req);
-      return;
     }
   }
 
@@ -157,8 +165,10 @@ void Cache::on_lower_response(uint64_t id, bool /*was_write*/) {
       // Defer the occupancy transition to this cache's tick of the same
       // cycle: responses arrive while now_ still holds the last ticked
       // cycle, and how stale that is depends on idle skipping — charging
-      // here would make the histogram differ between skip modes.
-      mshr_profile_dirty_ = true;
+      // here would make the histogram differ between skip modes. Without a
+      // profiler there is nothing to charge, and a stale flag would keep
+      // tick() off its idle early-out.
+      if (profiler_) mshr_profile_dirty_ = true;
       break;
     }
   }
@@ -182,18 +192,11 @@ void Cache::trace_counters(uint64_t cycle) {
                  {"mshr_used", mshr_used_}});
 }
 
-void Cache::tick(uint64_t cycle) {
-  if constexpr (trace::kEnabled) {
-    if ((cycle & (trace::kCounterBucketCycles - 1)) == 0) trace_counters(cycle);
-  }
-  now_ = cycle;
-  accepted_this_cycle_ = 0;
-  if (profiler_ && mshr_profile_dirty_) {
+void Cache::tick_queues() {
+  if (mshr_profile_dirty_) {
     profiler_->on_mshr_change(mshr_used_, now_);
     mshr_profile_dirty_ = false;
   }
-  // Fast path: nothing queued anywhere — the common case for an idle cache.
-  if (hit_queue_.empty() && writeback_queue_.empty() && mshr_unsent_ == 0) return;
 
   // Drain hit responses whose latency elapsed.
   while (!hit_queue_.empty() && hit_queue_.front().ready_cycle <= now_) {

@@ -16,9 +16,13 @@
 #include "common/bits.hpp"
 #include "mem/memprof.hpp"
 #include "mem/timing.hpp"
+#include "trace/trace.hpp"
 
 namespace fgpu::mem {
 
+// `size_bytes` and `ways` must both be powers of two, so the set count is
+// one too and set/tag extraction is a mask and a shift (asserted in the
+// Cache constructor).
 struct CacheConfig {
   std::string name = "l1d";
   uint32_t size_bytes = 16 * 1024;
@@ -40,7 +44,21 @@ class Cache final : public MemPort {
   bool can_accept() const override;
   void send(const MemRequest& req) override;
   void set_response_handler(ResponseHandler handler) override { handler_ = std::move(handler); }
-  void tick(uint64_t cycle) override;
+  // Inline so the idle early-out costs no call: the cluster ticks every
+  // cache (the L2 and both L1s of each core) every cycle, and most of those
+  // ticks find nothing to send and no hit response due.
+  void tick(uint64_t cycle) override {
+    if constexpr (trace::kEnabled) {
+      if ((cycle & (trace::kCounterBucketCycles - 1)) == 0) trace_counters(cycle);
+    }
+    now_ = cycle;
+    accepted_this_cycle_ = 0;
+    if (writeback_queue_.empty() && mshr_unsent_ == 0 && !mshr_profile_dirty_ &&
+        (hit_queue_.empty() || hit_queue_.front().ready_cycle > cycle)) {
+      return;
+    }
+    tick_queues();
+  }
 
   // Earliest future cycle (> the last ticked cycle) at which this cache has
   // work to do on its own: a queued hit response maturing, or unsent
@@ -115,14 +133,19 @@ class Cache final : public MemPort {
     uint64_t ready_cycle;
   };
 
-  uint32_t set_of(uint32_t line_addr) const { return line_addr % config_.num_sets(); }
-  uint32_t tag_of(uint32_t line_addr) const { return line_addr / config_.num_sets(); }
+  uint32_t set_of(uint32_t line_addr) const { return line_addr & set_mask_; }
+  uint32_t tag_of(uint32_t line_addr) const { return line_addr >> set_shift_; }
   LineState* lookup(uint32_t line_addr);
   void install(uint32_t line_addr);
   void on_lower_response(uint64_t id, bool was_write);
   void trace_counters(uint64_t cycle);
+  // The non-idle part of tick(): a deferred MSHR-occupancy transition,
+  // matured hit responses, writebacks and unsent fills.
+  void tick_queues();
 
   CacheConfig config_;
+  uint32_t set_mask_ = 0;   // num_sets() - 1
+  uint32_t set_shift_ = 0;  // log2(num_sets())
   MemPort* lower_;
   ResponseHandler handler_;
   std::vector<LineState> lines_;  // [set * ways + way]
@@ -142,6 +165,7 @@ class Cache final : public MemPort {
   // A lower-level response changed mshr_used_ before this cache's tick of
   // that cycle; the occupancy transition is charged at the tick so its
   // timestamp does not depend on idle skipping (see on_lower_response).
+  // Only ever set while profiler_ is non-null.
   bool mshr_profile_dirty_ = false;
 
   // Trace hook state (see trace/trace.hpp).

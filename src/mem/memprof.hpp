@@ -106,6 +106,7 @@ struct CacheMemProfile {
 
   uint64_t reuse_total() const;  // cold + sum(reuse) == accesses
   void merge(const CacheMemProfile& other);
+  bool operator==(const CacheMemProfile&) const = default;
 };
 
 // Per-channel DRAM profile: request counts and a time-weighted queue-depth
@@ -119,6 +120,7 @@ struct DramChannelProfile {
   uint64_t busy_cycles() const;      // cycles with depth > 0
   uint64_t weighted_depth() const;   // sum of depth * cycles
   void merge(const DramChannelProfile& other);
+  bool operator==(const DramChannelProfile&) const = default;
 };
 
 struct DramMemProfile {
@@ -129,6 +131,7 @@ struct DramMemProfile {
   // `channels` = everything on one channel. 0 when idle.
   double imbalance() const;
   void merge(const DramMemProfile& other);
+  bool operator==(const DramMemProfile&) const = default;
 };
 
 struct MemHierarchyProfile {
@@ -139,6 +142,7 @@ struct MemHierarchyProfile {
   DramMemProfile dram;
 
   void merge(const MemHierarchyProfile& other);
+  bool operator==(const MemHierarchyProfile&) const = default;
 };
 
 // Attached to a mem::Cache (or driven standalone via ShadowCacheSim) when

@@ -44,6 +44,7 @@ class VortexDevice final : public Device {
   const vortex::Config& config() const { return config_; }
   // Direct access for tests.
   mem::MainMemory& memory() { return memory_; }
+  const vortex::Cluster& cluster() const { return *cluster_; }
 
  private:
   struct Built {

@@ -80,6 +80,7 @@ void Cluster::tick() {
   for (auto& core : cores_) core->tick_caches(cycle_);
   for (auto& core : cores_) core->tick_logic(cycle_);
   ++cycle_;
+  ++ticks_;
 }
 
 // Event-driven idle skipping (Config::idle_skip). Called after a tick: if
@@ -180,8 +181,10 @@ PcProfile Cluster::collect_profile() const {
 Result<ClusterStats> Cluster::run(uint32_t entry_pc) {
   reset(entry_pc);
   // Idle skipping is bypassed while a trace sink is active: the per-cycle
-  // counter tracks sample on a cycle grid the skip would jump over.
+  // counter tracks sample on a cycle grid the skip would jump over. Per-core
+  // sleep shares the gate: both rest on the same frozen-state argument.
   const bool idle_skip = config_.idle_skip && trace::current() == nullptr;
+  for (auto& core : cores_) core->allow_sleep(idle_skip);
   while (busy()) {
     tick();
     if (idle_skip) try_idle_skip();

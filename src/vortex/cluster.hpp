@@ -35,6 +35,7 @@ class Cluster {
 
   const Config& config() const { return config_; }
   Core& core(uint32_t i) { return *cores_[i]; }
+  const Core& core(uint32_t i) const { return *cores_[i]; }
   uint32_t num_cores() const { return static_cast<uint32_t>(cores_.size()); }
 
   // Single-step interface for tests.
@@ -47,6 +48,10 @@ class Cluster {
   void tick();
   bool busy() const;
   uint64_t cycle() const { return cycle_; }
+  // tick() calls over this cluster's lifetime (cycles fast-forwarded by idle
+  // skipping are not ticks). Each core's logic_ticks() + slept_ticks()
+  // equals this.
+  uint64_t ticks() const { return ticks_; }
   ClusterStats collect_stats() const;
   // Per-PC profile merged across cores, plus the cluster-level cache
   // conflict histograms (empty PcProfile unless Config::profile).
@@ -67,6 +72,7 @@ class Cluster {
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<std::string> stall_track_names_;  // "stalls.cN" trace tracks
   uint64_t cycle_ = 0;
+  uint64_t ticks_ = 0;
 };
 
 }  // namespace fgpu::vortex

@@ -74,11 +74,13 @@ Core::Core(const Config& config, uint32_t core_id, mem::MainMemory& gmem, mem::M
   l1d_.set_response_handler([this](uint64_t id, bool /*w*/) {
     // O(1): the queue slot is in the id's low byte; the token above it
     // rejects responses addressed to a previous occupant of the slot.
+    // Any response counts as progress, stale ones included: it freed an
+    // L1D MSHR, which can unblock do_lsu (and wakes a sleeping core).
+    progressed_ = true;
     LsuEntry& entry = lsu_queue_[id & kIdSlotMask];
     if (!entry.valid || entry.token != (id >> kIdSlotBits)) return;  // stale
     assert(entry.outstanding > 0);
     --entry.outstanding;
-    progressed_ = true;
     if (entry.outstanding == 0 && entry.lines_pending.empty()) {
       if (entry.has_rd) {
         Warp& warp = warps_[entry.warp];
@@ -95,10 +97,11 @@ Core::Core(const Config& config, uint32_t core_id, mem::MainMemory& gmem, mem::M
   l1i_.set_response_handler([this](uint64_t id, bool /*w*/) {
     // O(1): the fetching warp is in the id's low byte; the full id must
     // match the warp's in-flight fetch (stale responses never do).
+    // As for the L1D: even a stale response freed an L1I MSHR.
+    progressed_ = true;
     Warp& warp = warps_[id & kIdSlotMask];
     if (!warp.fetch_pending || warp.fetch_id != id) return;  // stale
     warp.fetch_pending = false;
-    progressed_ = true;
     if (warp.generation != warp.fetch_generation || !warp.active) return;  // stale
     const DecodedInstr* decoded = decode_at(warp.fetch_pc);
     if (decoded == nullptr) {
@@ -119,6 +122,7 @@ void Core::reset(uint32_t entry_pc) {
   completions_min_ready_ = kNoWake;
   for (auto& entry : lsu_queue_) entry = LsuEntry{};
   lsu_free_ = config_.lsu_queue_depth;
+  lsu_unsent_ = 0;
   // The runtime rewrites the code region between launches; drop every
   // cached decode (next_mem_id_ is NOT reset, so in-flight responses from a
   // previous run can never match a new request id).
@@ -126,6 +130,8 @@ void Core::reset(uint32_t entry_pc) {
   last_outcome_ = IssueOutcome::kNone;
   last_stall_pc_ = 0;
   progressed_ = false;
+  sleep_allowed_ = false;
+  asleep_ = false;
   std::fill(std::begin(fu_ready_), std::end(fu_ready_), 0ull);
   std::fill(barrier_arrived_.begin(), barrier_arrived_.end(), 0u);
   std::fill(barrier_expected_.begin(), barrier_expected_.end(), 0u);
@@ -224,17 +230,18 @@ void Core::barrier_arrive(uint32_t warp_id, uint32_t id, uint32_t count, uint64_
   }
 }
 
-void Core::tick_caches(uint64_t cycle) {
-  l1d_.tick(cycle);
-  l1i_.tick(cycle);
-}
-
-void Core::tick_logic(uint64_t cycle) {
+void Core::run_logic(uint64_t cycle) {
+  ++logic_ticks_;
   if (profile_.enabled && cycle % config_.profile_interval == 0) sample_occupancy(cycle);
   do_writeback(cycle);
   do_issue(cycle);
   do_lsu(cycle);
   do_fetch(cycle);
+  // Nothing changed this cycle, so nothing will until a memory response or
+  // this core's own next event: sleep until then (a drained core has no
+  // event and sleeps until the end of the run).
+  asleep_ = sleep_allowed_ && !progressed_;
+  if (asleep_) wake_cycle_ = next_wake_cycle(cycle);
 }
 
 // One occupancy-timeline sample: how this core's warp slots are spent.
@@ -415,8 +422,9 @@ void Core::do_issue(uint64_t cycle) {
   // cycle is charged to exactly one of these PCs — the same single bucket
   // the aggregate counters use — so per-PC sums match PerfCounters exactly.
   uint32_t barrier_pc = 0, empty_pc = 0, scoreboard_pc = 0, lsu_pc = 0, fu_pc = 0;
-  for (uint32_t i = 0; i < config_.warps; ++i) {
-    const uint32_t w = (issue_rr_ + i) % config_.warps;
+  const uint32_t warps = config_.warps;
+  uint32_t w = issue_rr_;
+  for (uint32_t i = 0; i < warps; ++i, w = next_warp(w)) {
     Warp& warp = warps_[w];
     if (!warp.active) continue;
     any_active = true;
@@ -456,7 +464,7 @@ void Core::do_issue(uint64_t cycle) {
     }
     const FetchSlot slot = warp.ibuffer.front();
     warp.ibuffer.pop();
-    issue_rr_ = (w + 1) % config_.warps;
+    issue_rr_ = next_warp(w);
     ++perf_.instrs;
     ++instret_;
     progressed_ = true;
@@ -531,8 +539,17 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
     completions_min_ready_ = std::min(completions_min_ready_, cycle + info.latency);
   };
 
+  // This warp's registers, indexed (lane, reg). The lane count and register
+  // bases are hoisted into locals: each lane's result is stored through a
+  // uint32_t*, which may alias config_.threads, so reading them through
+  // `this` would reload both on every lane.
+  const uint32_t threads = config_.threads;
+  uint32_t* const xbase = xregs_.data() + static_cast<size_t>(w) * threads * 32;
+  uint32_t* const fbase = fregs_.data() + static_cast<size_t>(w) * threads * 32;
+  auto xw = [xbase](uint32_t lane, uint32_t reg) -> uint32_t& { return xbase[lane * 32 + reg]; };
+  auto fw = [fbase](uint32_t lane, uint32_t reg) -> uint32_t& { return fbase[lane * 32 + reg]; };
   auto for_lanes = [&](auto&& fn) {
-    for (uint32_t lane = 0; lane < config_.threads; ++lane) {
+    for (uint32_t lane = 0; lane < threads; ++lane) {
       if (mask & (1ull << lane)) fn(lane);
     }
   };
@@ -540,129 +557,129 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
   switch (in.op) {
     // ---------------- ALU ----------------
     case Op::kLui:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = static_cast<uint32_t>(in.imm) << 12; });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = static_cast<uint32_t>(in.imm) << 12; });
       schedule_rd(false);
       break;
     case Op::kAuipc:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = pc + (static_cast<uint32_t>(in.imm) << 12); });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = pc + (static_cast<uint32_t>(in.imm) << 12); });
       schedule_rd(false);
       break;
     case Op::kAddi:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) + static_cast<uint32_t>(in.imm); });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) + static_cast<uint32_t>(in.imm); });
       schedule_rd(false);
       break;
     case Op::kSlti:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = as_i32(xr(w, l, in.rs1)) < in.imm ? 1 : 0; });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = as_i32(xw(l, in.rs1)) < in.imm ? 1 : 0; });
       schedule_rd(false);
       break;
     case Op::kSltiu:
       for_lanes([&](uint32_t l) {
-        xr(w, l, in.rd) = xr(w, l, in.rs1) < static_cast<uint32_t>(in.imm) ? 1 : 0;
+        xw(l, in.rd) = xw(l, in.rs1) < static_cast<uint32_t>(in.imm) ? 1 : 0;
       });
       schedule_rd(false);
       break;
     case Op::kXori:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) ^ static_cast<uint32_t>(in.imm); });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) ^ static_cast<uint32_t>(in.imm); });
       schedule_rd(false);
       break;
     case Op::kOri:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) | static_cast<uint32_t>(in.imm); });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) | static_cast<uint32_t>(in.imm); });
       schedule_rd(false);
       break;
     case Op::kAndi:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) & static_cast<uint32_t>(in.imm); });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) & static_cast<uint32_t>(in.imm); });
       schedule_rd(false);
       break;
     case Op::kSlli:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) << in.imm; });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) << in.imm; });
       schedule_rd(false);
       break;
     case Op::kSrli:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) >> in.imm; });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) >> in.imm; });
       schedule_rd(false);
       break;
     case Op::kSrai:
       for_lanes([&](uint32_t l) {
-        xr(w, l, in.rd) = static_cast<uint32_t>(as_i32(xr(w, l, in.rs1)) >> in.imm);
+        xw(l, in.rd) = static_cast<uint32_t>(as_i32(xw(l, in.rs1)) >> in.imm);
       });
       schedule_rd(false);
       break;
     case Op::kAdd:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) + xr(w, l, in.rs2); });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) + xw(l, in.rs2); });
       schedule_rd(false);
       break;
     case Op::kSub:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) - xr(w, l, in.rs2); });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) - xw(l, in.rs2); });
       schedule_rd(false);
       break;
     case Op::kSll:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) << (xr(w, l, in.rs2) & 31); });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) << (xw(l, in.rs2) & 31); });
       schedule_rd(false);
       break;
     case Op::kSlt:
       for_lanes([&](uint32_t l) {
-        xr(w, l, in.rd) = as_i32(xr(w, l, in.rs1)) < as_i32(xr(w, l, in.rs2)) ? 1 : 0;
+        xw(l, in.rd) = as_i32(xw(l, in.rs1)) < as_i32(xw(l, in.rs2)) ? 1 : 0;
       });
       schedule_rd(false);
       break;
     case Op::kSltu:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) < xr(w, l, in.rs2) ? 1 : 0; });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) < xw(l, in.rs2) ? 1 : 0; });
       schedule_rd(false);
       break;
     case Op::kXor:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) ^ xr(w, l, in.rs2); });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) ^ xw(l, in.rs2); });
       schedule_rd(false);
       break;
     case Op::kSrl:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) >> (xr(w, l, in.rs2) & 31); });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) >> (xw(l, in.rs2) & 31); });
       schedule_rd(false);
       break;
     case Op::kSra:
       for_lanes([&](uint32_t l) {
-        xr(w, l, in.rd) = static_cast<uint32_t>(as_i32(xr(w, l, in.rs1)) >> (xr(w, l, in.rs2) & 31));
+        xw(l, in.rd) = static_cast<uint32_t>(as_i32(xw(l, in.rs1)) >> (xw(l, in.rs2) & 31));
       });
       schedule_rd(false);
       break;
     case Op::kOr:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) | xr(w, l, in.rs2); });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) | xw(l, in.rs2); });
       schedule_rd(false);
       break;
     case Op::kAnd:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) & xr(w, l, in.rs2); });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) & xw(l, in.rs2); });
       schedule_rd(false);
       break;
     // ---------------- MUL/DIV ----------------
     case Op::kMul:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) * xr(w, l, in.rs2); });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) * xw(l, in.rs2); });
       schedule_rd(false);
       break;
     case Op::kMulh:
       for_lanes([&](uint32_t l) {
-        const int64_t p = static_cast<int64_t>(as_i32(xr(w, l, in.rs1))) *
-                          static_cast<int64_t>(as_i32(xr(w, l, in.rs2)));
-        xr(w, l, in.rd) = static_cast<uint32_t>(static_cast<uint64_t>(p) >> 32);
+        const int64_t p = static_cast<int64_t>(as_i32(xw(l, in.rs1))) *
+                          static_cast<int64_t>(as_i32(xw(l, in.rs2)));
+        xw(l, in.rd) = static_cast<uint32_t>(static_cast<uint64_t>(p) >> 32);
       });
       schedule_rd(false);
       break;
     case Op::kMulhsu:
       for_lanes([&](uint32_t l) {
-        const int64_t p = static_cast<int64_t>(as_i32(xr(w, l, in.rs1))) *
-                          static_cast<int64_t>(static_cast<uint64_t>(xr(w, l, in.rs2)));
-        xr(w, l, in.rd) = static_cast<uint32_t>(static_cast<uint64_t>(p) >> 32);
+        const int64_t p = static_cast<int64_t>(as_i32(xw(l, in.rs1))) *
+                          static_cast<int64_t>(static_cast<uint64_t>(xw(l, in.rs2)));
+        xw(l, in.rd) = static_cast<uint32_t>(static_cast<uint64_t>(p) >> 32);
       });
       schedule_rd(false);
       break;
     case Op::kMulhu:
       for_lanes([&](uint32_t l) {
         const uint64_t p =
-            static_cast<uint64_t>(xr(w, l, in.rs1)) * static_cast<uint64_t>(xr(w, l, in.rs2));
-        xr(w, l, in.rd) = static_cast<uint32_t>(p >> 32);
+            static_cast<uint64_t>(xw(l, in.rs1)) * static_cast<uint64_t>(xw(l, in.rs2));
+        xw(l, in.rd) = static_cast<uint32_t>(p >> 32);
       });
       schedule_rd(false);
       break;
     case Op::kDiv:
       for_lanes([&](uint32_t l) {
-        const int32_t a = as_i32(xr(w, l, in.rs1)), b = as_i32(xr(w, l, in.rs2));
+        const int32_t a = as_i32(xw(l, in.rs1)), b = as_i32(xw(l, in.rs2));
         int32_t r;
         if (b == 0) {
           r = -1;
@@ -671,20 +688,20 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
         } else {
           r = a / b;
         }
-        xr(w, l, in.rd) = static_cast<uint32_t>(r);
+        xw(l, in.rd) = static_cast<uint32_t>(r);
       });
       schedule_rd(false);
       break;
     case Op::kDivu:
       for_lanes([&](uint32_t l) {
-        const uint32_t a = xr(w, l, in.rs1), b = xr(w, l, in.rs2);
-        xr(w, l, in.rd) = b == 0 ? 0xFFFFFFFFu : a / b;
+        const uint32_t a = xw(l, in.rs1), b = xw(l, in.rs2);
+        xw(l, in.rd) = b == 0 ? 0xFFFFFFFFu : a / b;
       });
       schedule_rd(false);
       break;
     case Op::kRem:
       for_lanes([&](uint32_t l) {
-        const int32_t a = as_i32(xr(w, l, in.rs1)), b = as_i32(xr(w, l, in.rs2));
+        const int32_t a = as_i32(xw(l, in.rs1)), b = as_i32(xw(l, in.rs2));
         int32_t r;
         if (b == 0) {
           r = a;
@@ -693,21 +710,21 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
         } else {
           r = a % b;
         }
-        xr(w, l, in.rd) = static_cast<uint32_t>(r);
+        xw(l, in.rd) = static_cast<uint32_t>(r);
       });
       schedule_rd(false);
       break;
     case Op::kRemu:
       for_lanes([&](uint32_t l) {
-        const uint32_t a = xr(w, l, in.rs1), b = xr(w, l, in.rs2);
-        xr(w, l, in.rd) = b == 0 ? a : a % b;
+        const uint32_t a = xw(l, in.rs1), b = xw(l, in.rs2);
+        xw(l, in.rd) = b == 0 ? a : a % b;
       });
       schedule_rd(false);
       break;
     // ---------------- control flow ----------------
     case Op::kJal:
       if (in.rd != 0) {
-        for_lanes([&](uint32_t l) { xr(w, l, in.rd) = pc + 4; });
+        for_lanes([&](uint32_t l) { xw(l, in.rd) = pc + 4; });
         schedule_rd(false);
       }
       ++perf_.branches;
@@ -715,9 +732,9 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
       break;
     case Op::kJalr: {
       const uint32_t target =
-          (xr(w, first_active_lane(mask), in.rs1) + static_cast<uint32_t>(in.imm)) & ~1u;
+          (xw(first_active_lane(mask), in.rs1) + static_cast<uint32_t>(in.imm)) & ~1u;
       if (in.rd != 0) {
-        for_lanes([&](uint32_t l) { xr(w, l, in.rd) = pc + 4; });
+        for_lanes([&](uint32_t l) { xw(l, in.rd) = pc + 4; });
         schedule_rd(false);
       }
       ++perf_.branches;
@@ -731,7 +748,7 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
     case Op::kBltu:
     case Op::kBgeu: {
       const uint32_t lane = first_active_lane(mask);
-      const uint32_t a = xr(w, lane, in.rs1), b = xr(w, lane, in.rs2);
+      const uint32_t a = xw(lane, in.rs1), b = xw(lane, in.rs2);
       bool taken = false;
       switch (in.op) {
         case Op::kBeq: taken = a == b; break;
@@ -752,14 +769,14 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
     case Op::kCsrrc:
       // Machine-information CSRs are read-only; writes are ignored.
       for_lanes([&](uint32_t l) {
-        if (in.rd != 0) xr(w, l, in.rd) = read_csr(static_cast<uint32_t>(in.imm), w, l, cycle);
+        if (in.rd != 0) xw(l, in.rd) = read_csr(static_cast<uint32_t>(in.imm), w, l, cycle);
       });
       schedule_rd(false);
       break;
     case Op::kEcall:
       for_lanes([&](uint32_t l) {
         if (ecall_handler_) {
-          ecall_handler_(EcallRequest{core_id_, w, l, xr(w, l, 17), xr(w, l, 10)}, gmem_);
+          ecall_handler_(EcallRequest{core_id_, w, l, xw(l, 17), xw(l, 10)}, gmem_);
         }
       });
       break;
@@ -768,7 +785,7 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
     // ---------------- SIMT control ----------------
     case Op::kTmc: {
       const uint64_t full = (config_.threads >= 64) ? ~0ull : ((1ull << config_.threads) - 1);
-      const uint64_t value = xr(w, first_active_lane(mask), in.rs1) & full;
+      const uint64_t value = xw(first_active_lane(mask), in.rs1) & full;
       warp.tmask = value;
       if (value == 0) {
         warp.active = false;
@@ -778,8 +795,8 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
     }
     case Op::kWspawn: {
       const uint32_t lane = first_active_lane(mask);
-      const uint32_t count = std::min(xr(w, lane, in.rs1), config_.warps);
-      const uint32_t target = xr(w, lane, in.rs2);
+      const uint32_t count = std::min(xw(lane, in.rs1), config_.warps);
+      const uint32_t target = xw(lane, in.rs2);
       uint32_t spawned_now = 0;
       for (uint32_t i = 1; i < count; ++i) {
         Warp& spawned = warps_[i];
@@ -798,7 +815,7 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
     case Op::kSplit: {
       uint64_t taken = 0;
       for_lanes([&](uint32_t l) {
-        if (xr(w, l, in.rs1) != 0) taken |= (1ull << l);
+        if (xw(l, in.rs1) != 0) taken |= (1ull << l);
       });
       const uint64_t nottaken = mask & ~taken;
       ++perf_.branches;
@@ -842,7 +859,7 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
     case Op::kPred: {
       uint64_t alive = 0;
       for_lanes([&](uint32_t l) {
-        if (xr(w, l, in.rs1) != 0) alive |= (1ull << l);
+        if (xw(l, in.rs1) != 0) alive |= (1ull << l);
       });
       ++perf_.branches;
       if (alive == 0) {
@@ -855,97 +872,97 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
     }
     case Op::kBar: {
       const uint32_t lane = first_active_lane(mask);
-      barrier_arrive(w, xr(w, lane, in.rs1) & 31, xr(w, lane, in.rs2), cycle);
+      barrier_arrive(w, xw(lane, in.rs1) & 31, xw(lane, in.rs2), cycle);
       break;
     }
     // ---------------- FPU ----------------
     case Op::kFaddS:
       for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(u2f(fr(w, l, in.rs1)) + u2f(fr(w, l, in.rs2)));
+        fw(l, in.rd) = f2u(u2f(fw(l, in.rs1)) + u2f(fw(l, in.rs2)));
       });
       schedule_rd(true);
       break;
     case Op::kFsubS:
       for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(u2f(fr(w, l, in.rs1)) - u2f(fr(w, l, in.rs2)));
+        fw(l, in.rd) = f2u(u2f(fw(l, in.rs1)) - u2f(fw(l, in.rs2)));
       });
       schedule_rd(true);
       break;
     case Op::kFmulS:
       for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(u2f(fr(w, l, in.rs1)) * u2f(fr(w, l, in.rs2)));
+        fw(l, in.rd) = f2u(u2f(fw(l, in.rs1)) * u2f(fw(l, in.rs2)));
       });
       schedule_rd(true);
       break;
     case Op::kFdivS:
       for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(u2f(fr(w, l, in.rs1)) / u2f(fr(w, l, in.rs2)));
+        fw(l, in.rd) = f2u(u2f(fw(l, in.rs1)) / u2f(fw(l, in.rs2)));
       });
       schedule_rd(true);
       break;
     case Op::kFsqrtS:
-      for_lanes([&](uint32_t l) { fr(w, l, in.rd) = f2u(std::sqrt(u2f(fr(w, l, in.rs1)))); });
+      for_lanes([&](uint32_t l) { fw(l, in.rd) = f2u(std::sqrt(u2f(fw(l, in.rs1)))); });
       schedule_rd(true);
       break;
     case Op::kFsgnjS:
       for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = (fr(w, l, in.rs1) & 0x7FFFFFFFu) | (fr(w, l, in.rs2) & 0x80000000u);
+        fw(l, in.rd) = (fw(l, in.rs1) & 0x7FFFFFFFu) | (fw(l, in.rs2) & 0x80000000u);
       });
       schedule_rd(true);
       break;
     case Op::kFsgnjnS:
       for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = (fr(w, l, in.rs1) & 0x7FFFFFFFu) | (~fr(w, l, in.rs2) & 0x80000000u);
+        fw(l, in.rd) = (fw(l, in.rs1) & 0x7FFFFFFFu) | (~fw(l, in.rs2) & 0x80000000u);
       });
       schedule_rd(true);
       break;
     case Op::kFsgnjxS:
       for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = fr(w, l, in.rs1) ^ (fr(w, l, in.rs2) & 0x80000000u);
+        fw(l, in.rd) = fw(l, in.rs1) ^ (fw(l, in.rs2) & 0x80000000u);
       });
       schedule_rd(true);
       break;
     case Op::kFminS:
       for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(std::fmin(u2f(fr(w, l, in.rs1)), u2f(fr(w, l, in.rs2))));
+        fw(l, in.rd) = f2u(std::fmin(u2f(fw(l, in.rs1)), u2f(fw(l, in.rs2))));
       });
       schedule_rd(true);
       break;
     case Op::kFmaxS:
       for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(std::fmax(u2f(fr(w, l, in.rs1)), u2f(fr(w, l, in.rs2))));
+        fw(l, in.rd) = f2u(std::fmax(u2f(fw(l, in.rs1)), u2f(fw(l, in.rs2))));
       });
       schedule_rd(true);
       break;
     case Op::kFcvtWS:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = fcvt_w_s(u2f(fr(w, l, in.rs1)), false); });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = fcvt_w_s(u2f(fw(l, in.rs1)), false); });
       schedule_rd(false);
       break;
     case Op::kFcvtWuS:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = fcvt_w_s(u2f(fr(w, l, in.rs1)), true); });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = fcvt_w_s(u2f(fw(l, in.rs1)), true); });
       schedule_rd(false);
       break;
     case Op::kFcvtSW:
       for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(static_cast<float>(as_i32(xr(w, l, in.rs1))));
+        fw(l, in.rd) = f2u(static_cast<float>(as_i32(xw(l, in.rs1))));
       });
       schedule_rd(true);
       break;
     case Op::kFcvtSWu:
-      for_lanes([&](uint32_t l) { fr(w, l, in.rd) = f2u(static_cast<float>(xr(w, l, in.rs1))); });
+      for_lanes([&](uint32_t l) { fw(l, in.rd) = f2u(static_cast<float>(xw(l, in.rs1))); });
       schedule_rd(true);
       break;
     case Op::kFmvXW:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = fr(w, l, in.rs1); });
+      for_lanes([&](uint32_t l) { xw(l, in.rd) = fw(l, in.rs1); });
       schedule_rd(false);
       break;
     case Op::kFmvWX:
-      for_lanes([&](uint32_t l) { fr(w, l, in.rd) = xr(w, l, in.rs1); });
+      for_lanes([&](uint32_t l) { fw(l, in.rd) = xw(l, in.rs1); });
       schedule_rd(true);
       break;
     case Op::kFclassS:
       for_lanes([&](uint32_t l) {
-        const float f = u2f(fr(w, l, in.rs1));
+        const float f = u2f(fw(l, in.rs1));
         uint32_t cls = 0;
         if (std::isnan(f)) {
           cls = 1u << 9;  // quiet NaN (we do not distinguish signalling)
@@ -958,51 +975,51 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
         } else {
           cls = f < 0 ? 1u << 1 : 1u << 6;
         }
-        xr(w, l, in.rd) = cls;
+        xw(l, in.rd) = cls;
       });
       schedule_rd(false);
       break;
     case Op::kFeqS:
       for_lanes([&](uint32_t l) {
-        xr(w, l, in.rd) = u2f(fr(w, l, in.rs1)) == u2f(fr(w, l, in.rs2)) ? 1 : 0;
+        xw(l, in.rd) = u2f(fw(l, in.rs1)) == u2f(fw(l, in.rs2)) ? 1 : 0;
       });
       schedule_rd(false);
       break;
     case Op::kFltS:
       for_lanes([&](uint32_t l) {
-        xr(w, l, in.rd) = u2f(fr(w, l, in.rs1)) < u2f(fr(w, l, in.rs2)) ? 1 : 0;
+        xw(l, in.rd) = u2f(fw(l, in.rs1)) < u2f(fw(l, in.rs2)) ? 1 : 0;
       });
       schedule_rd(false);
       break;
     case Op::kFleS:
       for_lanes([&](uint32_t l) {
-        xr(w, l, in.rd) = u2f(fr(w, l, in.rs1)) <= u2f(fr(w, l, in.rs2)) ? 1 : 0;
+        xw(l, in.rd) = u2f(fw(l, in.rs1)) <= u2f(fw(l, in.rs2)) ? 1 : 0;
       });
       schedule_rd(false);
       break;
     case Op::kFmaddS:
       for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(u2f(fr(w, l, in.rs1)) * u2f(fr(w, l, in.rs2)) + u2f(fr(w, l, in.rs3)));
+        fw(l, in.rd) = f2u(u2f(fw(l, in.rs1)) * u2f(fw(l, in.rs2)) + u2f(fw(l, in.rs3)));
       });
       schedule_rd(true);
       break;
     case Op::kFmsubS:
       for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(u2f(fr(w, l, in.rs1)) * u2f(fr(w, l, in.rs2)) - u2f(fr(w, l, in.rs3)));
+        fw(l, in.rd) = f2u(u2f(fw(l, in.rs1)) * u2f(fw(l, in.rs2)) - u2f(fw(l, in.rs3)));
       });
       schedule_rd(true);
       break;
     case Op::kFnmsubS:
       for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) =
-            f2u(-(u2f(fr(w, l, in.rs1)) * u2f(fr(w, l, in.rs2))) + u2f(fr(w, l, in.rs3)));
+        fw(l, in.rd) =
+            f2u(-(u2f(fw(l, in.rs1)) * u2f(fw(l, in.rs2))) + u2f(fw(l, in.rs3)));
       });
       schedule_rd(true);
       break;
     case Op::kFnmaddS:
       for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) =
-            f2u(-(u2f(fr(w, l, in.rs1)) * u2f(fr(w, l, in.rs2))) - u2f(fr(w, l, in.rs3)));
+        fw(l, in.rd) =
+            f2u(-(u2f(fw(l, in.rs1)) * u2f(fw(l, in.rs2))) - u2f(fw(l, in.rs3)));
       });
       schedule_rd(true);
       break;
@@ -1053,40 +1070,45 @@ void Core::execute_memory(uint32_t w, const Instr& in, uint32_t pc, uint64_t cyc
     ++perf_.loads;
   }
 
-  std::vector<uint32_t> lines;
+  std::vector<uint32_t>& lines = mem_lines_;
+  lines.clear();
   bool all_local = true;
-  bool any_local = false;
 
-  for (uint32_t lane = 0; lane < config_.threads; ++lane) {
+  // Hoisted for the same aliasing reason as in execute().
+  const uint32_t threads = config_.threads;
+  uint32_t* const xbase = xregs_.data() + static_cast<size_t>(w) * threads * 32;
+  uint32_t* const fbase = fregs_.data() + static_cast<size_t>(w) * threads * 32;
+  auto xw = [xbase](uint32_t lane, uint32_t reg) -> uint32_t& { return xbase[lane * 32 + reg]; };
+  auto fw = [fbase](uint32_t lane, uint32_t reg) -> uint32_t& { return fbase[lane * 32 + reg]; };
+  for (uint32_t lane = 0; lane < threads; ++lane) {
     if (!(mask & (1ull << lane))) continue;
-    const uint32_t base = xr(w, lane, in.rs1);
+    const uint32_t base = xw(lane, in.rs1);
     const uint32_t addr = base + static_cast<uint32_t>(is_amo ? 0 : in.imm);
     const bool local = is_local_addr(addr);
     all_local &= local;
-    any_local |= local;
     mem::MainMemory& memory = local ? local_mem_ : gmem_;
 
     // Functional access now; timing modelled below.
     switch (in.op) {
-      case Op::kLb: xr(w, lane, in.rd) = static_cast<uint32_t>(static_cast<int8_t>(memory.load8(addr))); break;
-      case Op::kLbu: xr(w, lane, in.rd) = memory.load8(addr); break;
-      case Op::kLh: xr(w, lane, in.rd) = static_cast<uint32_t>(static_cast<int16_t>(memory.load16(addr))); break;
-      case Op::kLhu: xr(w, lane, in.rd) = memory.load16(addr); break;
-      case Op::kLw: xr(w, lane, in.rd) = memory.load32(addr); break;
-      case Op::kFlw: fr(w, lane, in.rd) = memory.load32(addr); break;
-      case Op::kSb: memory.store8(addr, static_cast<uint8_t>(xr(w, lane, in.rs2))); break;
-      case Op::kSh: memory.store16(addr, static_cast<uint16_t>(xr(w, lane, in.rs2))); break;
-      case Op::kSw: memory.store32(addr, xr(w, lane, in.rs2)); break;
-      case Op::kFsw: memory.store32(addr, fr(w, lane, in.rs2)); break;
-      case Op::kLrW: xr(w, lane, in.rd) = memory.load32(addr); break;
+      case Op::kLb: xw(lane, in.rd) = static_cast<uint32_t>(static_cast<int8_t>(memory.load8(addr))); break;
+      case Op::kLbu: xw(lane, in.rd) = memory.load8(addr); break;
+      case Op::kLh: xw(lane, in.rd) = static_cast<uint32_t>(static_cast<int16_t>(memory.load16(addr))); break;
+      case Op::kLhu: xw(lane, in.rd) = memory.load16(addr); break;
+      case Op::kLw: xw(lane, in.rd) = memory.load32(addr); break;
+      case Op::kFlw: fw(lane, in.rd) = memory.load32(addr); break;
+      case Op::kSb: memory.store8(addr, static_cast<uint8_t>(xw(lane, in.rs2))); break;
+      case Op::kSh: memory.store16(addr, static_cast<uint16_t>(xw(lane, in.rs2))); break;
+      case Op::kSw: memory.store32(addr, xw(lane, in.rs2)); break;
+      case Op::kFsw: memory.store32(addr, fw(lane, in.rs2)); break;
+      case Op::kLrW: xw(lane, in.rd) = memory.load32(addr); break;
       case Op::kScW:
         // Single-context simulation: SC always succeeds.
-        memory.store32(addr, xr(w, lane, in.rs2));
-        xr(w, lane, in.rd) = 0;
+        memory.store32(addr, xw(lane, in.rs2));
+        xw(lane, in.rd) = 0;
         break;
       default: {  // AMOs
         const uint32_t old = memory.load32(addr);
-        const uint32_t src = xr(w, lane, in.rs2);
+        const uint32_t src = xw(lane, in.rs2);
         uint32_t next = old;
         switch (in.op) {
           case Op::kAmoswapW: next = src; break;
@@ -1103,7 +1125,7 @@ void Core::execute_memory(uint32_t w, const Instr& in, uint32_t pc, uint64_t cyc
           default: break;
         }
         memory.store32(addr, next);
-        if (in.rd != 0) xr(w, lane, in.rd) = old;
+        if (in.rd != 0) xw(lane, in.rd) = old;
         break;
       }
     }
@@ -1118,7 +1140,6 @@ void Core::execute_memory(uint32_t w, const Instr& in, uint32_t pc, uint64_t cyc
       }
     }
   }
-  (void)any_local;
 
   if (all_local || lines.empty()) {
     // Shared-memory path: fixed low latency, no cache traffic.
@@ -1149,9 +1170,10 @@ void Core::execute_memory(uint32_t w, const Instr& in, uint32_t pc, uint64_t cyc
     entry.rd = in.rd;
     entry.pc = pc;
     entry.token = next_mem_id_++;
-    entry.lines_pending = std::move(lines);
+    entry.lines_pending.swap(lines);
     entry.outstanding = 0;
     --lsu_free_;
+    ++lsu_unsent_;
     if (entry.has_rd) {
       if (is_float) {
         warp.busy_f |= (1u << in.rd);
@@ -1166,6 +1188,7 @@ void Core::execute_memory(uint32_t w, const Instr& in, uint32_t pc, uint64_t cyc
 
 void Core::do_lsu(uint64_t cycle) {
   (void)cycle;
+  if (lsu_unsent_ == 0) return;
   uint32_t sent = 0;
   for (auto& entry : lsu_queue_) {
     if (!entry.valid || entry.lines_pending.empty()) continue;
@@ -1183,13 +1206,15 @@ void Core::do_lsu(uint64_t cycle) {
       ++sent;
       progressed_ = true;
     }
+    if (entry.lines_pending.empty()) --lsu_unsent_;
     if (sent >= config_.lsu_ports) break;
   }
 }
 
 void Core::do_fetch(uint64_t cycle) {
-  for (uint32_t i = 0; i < config_.warps; ++i) {
-    const uint32_t w = (fetch_rr_ + i) % config_.warps;
+  const uint32_t warps = config_.warps;
+  uint32_t w = fetch_rr_;
+  for (uint32_t i = 0; i < warps; ++i, w = next_warp(w)) {
     Warp& warp = warps_[w];
     if (!warp.active || warp.fetch_pending) continue;
     if (warp.ibuffer.size() >= config_.ibuffer_depth) continue;
@@ -1198,11 +1223,12 @@ void Core::do_fetch(uint64_t cycle) {
       if (decoded == nullptr) {
         FGPU_LOG(kError, "core %u warp %u: invalid instruction at %08x", core_id_, w, warp.pc);
         warp.active = false;
+        progressed_ = true;  // the warp set changed: next cycle differs
         return;
       }
       warp.ibuffer.push(FetchSlot{*decoded, warp.pc});
       warp.pc += 4;
-      fetch_rr_ = (w + 1) % config_.warps;
+      fetch_rr_ = next_warp(w);
       progressed_ = true;
       return;
     }
@@ -1216,7 +1242,7 @@ void Core::do_fetch(uint64_t cycle) {
     warp.fetch_generation = warp.generation;
     l1i_.send(mem::MemRequest{.id = id, .addr = warp.pc, .is_write = false, .pc = warp.pc});
     warp.pc += 4;
-    fetch_rr_ = (w + 1) % config_.warps;
+    fetch_rr_ = next_warp(w);
     progressed_ = true;
     return;
   }
@@ -1277,7 +1303,7 @@ void Core::fast_forward(uint64_t from, uint64_t count) {
       break;
   }
   if (profile_.enabled) {
-    // Same grid as tick_logic: one sample at every cycle divisible by the
+    // Same grid as run_logic: one sample at every cycle divisible by the
     // interval. Warp states are frozen across the window, so the samples
     // are identical except for their cycle stamps.
     const uint64_t interval = config_.profile_interval;

@@ -13,7 +13,8 @@
 //  * in-flight fetch/LSU responses keyed by request id (warp / queue slot
 //    encoded in the low bits) instead of linear side-table scans;
 //  * event bookkeeping (next_wake_cycle, progressed) that lets the cluster
-//    fast-forward through cycles where no core can make progress.
+//    fast-forward through cycles where no core can make progress, and lets
+//    a single stalled or drained core sleep while the others keep running.
 #pragma once
 
 #include <cstdint>
@@ -66,9 +67,22 @@ class Core {
   void hard_reset();
 
   // Ticks the core-internal caches (called by the cluster before logic()).
-  void tick_caches(uint64_t cycle);
-  // One cycle of pipeline logic: writeback, issue, LSU drain, fetch.
-  void tick_logic(uint64_t cycle);
+  void tick_caches(uint64_t cycle) {
+    l1d_.tick(cycle);
+    l1i_.tick(cycle);
+  }
+  // One cycle of pipeline logic: writeback, issue, LSU drain, fetch. A
+  // sleeping core (see allow_sleep) instead charges the cycle through
+  // fast_forward, unless a memory response reached it this cycle or its own
+  // next event is due.
+  void tick_logic(uint64_t cycle) {
+    if (asleep_ && !progressed_ && cycle < wake_cycle_) {
+      ++slept_ticks_;
+      fast_forward(cycle, 1);
+      return;
+    }
+    run_logic(cycle);
+  }
 
   bool busy() const;
 
@@ -76,6 +90,12 @@ class Core {
   // Clears the per-cycle progress flag; the cluster calls this before any
   // component (whose response chains can reach this core) is ticked.
   void begin_tick() { progressed_ = false; }
+  // Per-core sleep, gated like idle skipping (the cluster enables it per
+  // run; reset() disables it). After a cycle without progress the core's
+  // state is frozen until a memory response arrives or next_wake_cycle()
+  // is reached, so each cycle in between would repeat that cycle's issue
+  // outcome: tick_logic charges it via fast_forward instead of simulating.
+  void allow_sleep(bool on) { sleep_allowed_ = on; }
   // True if this core did anything this cycle that could change the next
   // cycle's behaviour: issued an instruction, initiated a fetch, sent an
   // LSU line request, or received a memory response.
@@ -108,6 +128,11 @@ class Core {
   // Decode-cache statistics (tests assert cold/warm behaviour).
   uint64_t decode_cache_hits() const { return decode_hits_; }
   uint64_t decode_cache_fills() const { return decode_fills_; }
+  // tick_logic calls that simulated the pipeline vs. charged a slept cycle;
+  // cumulative like the decode-cache counters. Their sum is the number of
+  // cluster ticks (cycles skipped by Cluster idle skipping are in neither).
+  uint64_t logic_ticks() const { return logic_ticks_; }
+  uint64_t slept_ticks() const { return slept_ticks_; }
 
  private:
   struct IpdomEntry {
@@ -151,11 +176,13 @@ class Core {
     uint32_t size() const { return count; }
     const FetchSlot& front() const { return slots[head]; }
     void push(const FetchSlot& slot) {
-      slots[(head + count) % slots.size()] = slot;
+      uint32_t tail = head + count;
+      if (tail >= slots.size()) tail -= static_cast<uint32_t>(slots.size());
+      slots[tail] = slot;
       ++count;
     }
     void pop() {
-      head = (head + 1) % static_cast<uint32_t>(slots.size());
+      if (++head == slots.size()) head = 0;
       --count;
     }
     void clear() { head = count = 0; }
@@ -217,13 +244,7 @@ class Core {
     bool is_float;
   };
 
-  uint32_t& xr(uint32_t warp, uint32_t lane, uint32_t index) {
-    return xregs_[(warp * config_.threads + lane) * 32 + index];
-  }
-  uint32_t& fr(uint32_t warp, uint32_t lane, uint32_t index) {
-    return fregs_[(warp * config_.threads + lane) * 32 + index];
-  }
-
+  void run_logic(uint64_t cycle);
   void do_writeback(uint64_t cycle);
   void do_issue(uint64_t cycle);
   void do_lsu(uint64_t cycle);
@@ -242,6 +263,7 @@ class Core {
   void execute_memory(uint32_t warp_id, const arch::Instr& instr, uint32_t pc, uint64_t cycle);
   void redirect(Warp& warp, uint32_t new_pc);
   uint32_t first_active_lane(uint64_t mask) const;
+  uint32_t next_warp(uint32_t w) const { return w + 1 == config_.warps ? 0 : w + 1; }
   uint32_t read_csr(uint32_t csr, uint32_t warp_id, uint32_t lane, uint64_t cycle) const;
   void barrier_arrive(uint32_t warp_id, uint32_t id, uint32_t count, uint64_t cycle);
 
@@ -265,6 +287,10 @@ class Core {
   uint64_t completions_min_ready_ = kNoWake;  // min ready_cycle in completions_
   std::vector<LsuEntry> lsu_queue_;
   uint32_t lsu_free_ = 0;       // entries with valid == false
+  uint32_t lsu_unsent_ = 0;     // valid entries with lines_pending non-empty
+  // execute_memory's line list, swapped into the LSU entry it allocates:
+  // the buffers circulate between the two, so steady state never allocates.
+  std::vector<uint32_t> mem_lines_;
   uint64_t next_mem_id_ = 1;    // never reset: ids stay unique across runs
 
   // Decode cache: word index (pc - kCodeBase)/4 -> decoded entry. Grows to
@@ -273,6 +299,8 @@ class Core {
   std::vector<uint8_t> decode_valid_;
   uint64_t decode_hits_ = 0;
   uint64_t decode_fills_ = 0;
+  uint64_t logic_ticks_ = 0;
+  uint64_t slept_ticks_ = 0;
 
   // Per-FU readiness (structural hazards for non-pipelined units).
   uint64_t fu_ready_[8] = {0};
@@ -292,6 +320,9 @@ class Core {
   IssueOutcome last_outcome_ = IssueOutcome::kNone;
   uint32_t last_stall_pc_ = 0;
   bool progressed_ = false;
+  bool sleep_allowed_ = false;
+  bool asleep_ = false;
+  uint64_t wake_cycle_ = 0;  // while asleep_: next_wake_cycle() at sleep time
 
   PerfCounters perf_;
   PcProfile profile_;

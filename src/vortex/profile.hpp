@@ -60,6 +60,8 @@ struct OccupancySample {
   uint32_t ready = 0;    // active, decoded instruction buffered, not barred
   uint32_t blocked = 0;  // active but at a barrier or fetch-bound
   uint32_t idle = 0;     // warp slot inactive
+
+  bool operator==(const OccupancySample&) const = default;
 };
 
 // Profile of one launch (per core while collecting, merged across cores by
@@ -80,6 +82,8 @@ struct PcProfile {
   // Sums of the per-PC buckets — equals the aggregate PerfCounters stall
   // totals by construction (asserted by tests/test_profile.cpp).
   PcStat totals() const;
+
+  bool operator==(const PcProfile&) const = default;
 };
 
 // Renders `program` with per-PC cycle/stall/IPC columns and source-map
