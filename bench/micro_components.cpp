@@ -101,15 +101,25 @@ void BM_CacheHitStream(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheHitStream);
 
-void BM_Interpreter(benchmark::State& state) {
-  auto bench = suite::make_benchmark("kmeans");
+// One reference run per iteration, over four interpreter shapes: dense
+// arithmetic (kmeans), read-modify-write stores that run item-sequentially
+// (saxpy), many small launches (gaussian, 62), and long per-item loops
+// (lavamd). A node visit that costs O(group size) instead of O(active
+// lanes) shows up in saxpy first.
+void BM_Interpreter(benchmark::State& state, const char* name) {
+  auto bench = suite::make_benchmark(name);
+  uint64_t items = 0;
+  for (const auto& launch : bench.launches) items += launch.ndrange.global_items();
   for (auto _ : state) {
     auto out = suite::reference_run(bench);
     benchmark::DoNotOptimize(out);
   }
-  state.SetItemsProcessed(state.iterations() * 1024);
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(items));
 }
-BENCHMARK(BM_Interpreter);
+BENCHMARK_CAPTURE(BM_Interpreter, kmeans, "kmeans");
+BENCHMARK_CAPTURE(BM_Interpreter, saxpy, "saxpy");
+BENCHMARK_CAPTURE(BM_Interpreter, gaussian, "gaussian");
+BENCHMARK_CAPTURE(BM_Interpreter, lavamd, "lavamd");
 
 }  // namespace
 

@@ -1,15 +1,29 @@
 // Functional reference interpreter for KIR kernels.
 //
 // Executes a work-group in SIMT lockstep (all items advance statement by
-// statement under an active mask), which gives OpenCL barrier semantics for
-// free and matches how both backends execute. Serves as the golden model:
-// codegen+simulator results and HLS executor results are verified against
-// it, and it doubles as the host-side reference implementation for the
-// benchmark suite.
+// statement over a list of active lanes), which gives OpenCL barrier
+// semantics for free and matches how both backends execute. Serves as the
+// golden model: codegen+simulator results and HLS executor results are
+// verified against it, and it doubles as the host-side reference
+// implementation for the benchmark suite.
 //
 // It also performs dynamic checking that hardware would not: out-of-bounds
 // buffer accesses and barriers reached under divergent control flow are
 // reported as errors.
+//
+// Each run() first compiles the kernel into a plan: variables resolve to
+// dense slots (with per-group "defined" flags, so a use before definition
+// is still an error), the type and operator of every node are resolved,
+// stores whose operands may read the stored buffer are marked for
+// item-sequential execution, every load and store site is numbered, and
+// every node gets a result buffer. A malformed kernel (a scalar parameter
+// index past the argument list, a work-item dimension above 2) is rejected
+// here, before any group runs.
+//
+// Cost contract: a node visit costs O(active lanes), never O(group size).
+// Active lanes travel as ascending index lists; the full group is a dense
+// 0..n loop. Item-sequential paths (atomics, printf, aliasing stores) use
+// single-lane lists, so they cost O(nodes) per item.
 #pragma once
 
 #include <cstdint>
@@ -38,22 +52,26 @@ struct InterpOptions {
   std::function<void(const std::string&)> print_sink;  // printf output
   uint64_t max_statements = 4'000'000'000ull;          // runaway guard
 
-  // Instrumentation: invoked once per executed (per-item) memory operation.
-  // The HLS executor uses these to attribute dynamic request counts to
-  // static access sites when modelling pipeline occupancy.
-  std::function<void(const Expr* site)> on_load;
-  std::function<void(const Stmt* site)> on_store;   // stores and atomics
-
   // Address-carrying load hook for the memory-hierarchy profiler: fires
-  // once per executed per-item load with the static site, the target
-  // buffer (kernel param index, or local slot when is_local), and the
-  // accessed element index. Separate from on_load so existing
-  // request-counting consumers keep their cheap signature.
+  // once per executed per-item load, in item order, with the static site,
+  // the target buffer (kernel param index, or local slot when is_local),
+  // and the accessed element index.
   std::function<void(const Expr* site, int buffer, bool is_local, uint32_t elem)> on_load_addr;
 
-  // When set, incremented once per evaluated expression node (a first-order
-  // dynamic operation count, used by the analytical performance model).
+  // When set, advanced by the active-lane count at every expression node
+  // visit -- the per-(node, item) evaluations of an item-by-item walk,
+  // including items that && / || short-circuit and the arm select skips (a
+  // first-order dynamic operation count, used by the analytical model).
   uint64_t* op_count = nullptr;
+};
+
+// Dynamic access count of one static memory site over a run: the number of
+// per-item accesses it executed. Request counts per site drive the HLS
+// timing model and the analytical model's access census.
+struct SiteCount {
+  const void* site = nullptr;  // const Expr* (load) or const Stmt* (store, atomic)
+  bool is_store = false;
+  uint64_t count = 0;
 };
 
 class Interpreter {
@@ -64,8 +82,13 @@ class Interpreter {
   // mutated in place.
   Status run(const Kernel& kernel, const std::vector<KernelArg>& args, const NDRange& ndrange);
 
+  // Per-site counts of the last successful run(): one entry per distinct
+  // load node and store/atomic statement of the kernel.
+  const std::vector<SiteCount>& site_counts() const { return site_counts_; }
+
  private:
   InterpOptions options_;
+  std::vector<SiteCount> site_counts_;
 };
 
 }  // namespace fgpu::kir

@@ -176,12 +176,8 @@ Result<LaunchStats> HlsDevice::launch(const std::string& kernel_name,
     }
   }
 
-  // Dynamic request counts per access site drive the timing model.
-  std::unordered_map<const void*, uint64_t> dyn_requests;
   kir::InterpOptions interp_options;
   interp_options.print_sink = [this](const std::string& line) { console_.push_back(line); };
-  interp_options.on_load = [&](const kir::Expr* site) { ++dyn_requests[site]; };
-  interp_options.on_store = [&](const kir::Stmt* site) { ++dyn_requests[site]; };
 
   // Memory-hierarchy shadow profiling (see set_memprof): every global load
   // becomes a flat device address fed through a shadow cache of the
@@ -210,6 +206,9 @@ Result<LaunchStats> HlsDevice::launch(const std::string& kernel_name,
   if (auto st = interp.run(*kernel, interp_args, ndrange); !st.is_ok()) {
     return Result<LaunchStats>(st.kind(), st.message());
   }
+  // Dynamic request counts per access site drive the timing model.
+  std::unordered_map<const void*, uint64_t> dyn_requests;
+  for (const kir::SiteCount& sc : interp.site_counts()) dyn_requests[sc.site] = sc.count;
 
   // Timing: NDRange iterative work-item issue. One item enters the pipeline
   // per II cycles; II is bound by per-item memory-interface occupancy, and

@@ -4,17 +4,34 @@
 
 namespace fgpu::vasm {
 
+namespace {
+
+// Splits `value` into a 20-bit upper immediate (lui/auipc) and the
+// sign-extended low 12 bits (addi). The upper part is rounded up when bit
+// 11 is set, to compensate for the sign extension; it is computed in
+// uint32_t because value - lo can leave the int32_t range (0x7FFFF800).
+struct HiLo {
+  int32_t hi;
+  int32_t lo;
+};
+HiLo split_hi_lo(int32_t value) {
+  const uint32_t bits = static_cast<uint32_t>(value);
+  const int32_t lo = static_cast<int32_t>(bits << 20) >> 20;
+  const uint32_t hi = ((bits - static_cast<uint32_t>(lo)) >> 12) & 0xFFFFF;
+  return HiLo{static_cast<int32_t>(hi), lo};
+}
+
+}  // namespace
+
 void AsmBuilder::li(unsigned rd, int32_t value) {
   if (value >= -2048 && value <= 2047) {
     emit_i(arch::Op::kAddi, rd, 0, value);
     return;
   }
-  // lui loads imm<<12; addi adds the (sign-extended) low 12 bits, so the
-  // upper part must be rounded to compensate when bit 11 is set.
-  int32_t lo = value << 20 >> 20;  // sign-extended low 12 bits
-  int32_t hi = (value - lo) >> 12;
-  emit_u(arch::Op::kLui, rd, hi & 0xFFFFF);
-  if (lo != 0) emit_i(arch::Op::kAddi, rd, rd, lo);
+  // lui loads imm<<12; addi adds the low 12 bits.
+  const HiLo parts = split_hi_lo(value);
+  emit_u(arch::Op::kLui, rd, parts.hi);
+  if (parts.lo != 0) emit_i(arch::Op::kAddi, rd, rd, parts.lo);
 }
 
 Result<Program> AsmBuilder::finalize(uint32_t base) const {
@@ -34,9 +51,8 @@ Result<Program> AsmBuilder::finalize(uint32_t base) const {
         const size_t auipc_index = instrs_[i].fix == FixKind::kLaHi ? i : i - 1;
         const int64_t delta =
             (static_cast<int64_t>(target_index) - static_cast<int64_t>(auipc_index)) * 4;
-        const int32_t lo = static_cast<int32_t>(delta) << 20 >> 20;
-        const int32_t hi = (static_cast<int32_t>(delta) - lo) >> 12;
-        instr.imm = instrs_[i].fix == FixKind::kLaHi ? (hi & 0xFFFFF) : lo;
+        const HiLo parts = split_hi_lo(static_cast<int32_t>(delta));
+        instr.imm = instrs_[i].fix == FixKind::kLaHi ? parts.hi : parts.lo;
       } else {
         const int64_t offset = (static_cast<int64_t>(target_index) - static_cast<int64_t>(i)) * 4;
         const auto& info = arch::op_info(instr.op);

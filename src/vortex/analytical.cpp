@@ -27,30 +27,19 @@ Result<KernelProfile> profile_kernel(const kir::Kernel& kernel,
 
   kir::InterpOptions options;
   options.op_count = &ops;
-  options.on_load = [&](const kir::Expr* site) {
-    auto it = site_pattern.find(site);
-    if (it == site_pattern.end()) {
-      ++local_accesses;  // __local load (not a global site)
-      return;
-    }
-    ++loads;
-    ++total_classified;
-    if (it->second == hls::AccessPattern::kConsecutive) ++consecutive;
-  };
-  options.on_store = [&](const kir::Stmt* site) {
-    auto it = site_pattern.find(site);
-    if (it == site_pattern.end()) {
-      ++local_accesses;
-      return;
-    }
-    ++stores;
-    ++total_classified;
-    if (it->second == hls::AccessPattern::kConsecutive) ++consecutive;
-  };
-
   kir::Interpreter interp(options);
   if (auto st = interp.run(lowered, args, ndrange); !st.is_ok()) {
     return Result<KernelProfile>(st.kind(), st.message());
+  }
+  for (const kir::SiteCount& sc : interp.site_counts()) {
+    auto it = site_pattern.find(sc.site);
+    if (it == site_pattern.end()) {
+      local_accesses += sc.count;  // __local access (not a global site)
+      continue;
+    }
+    (sc.is_store ? stores : loads) += sc.count;
+    total_classified += sc.count;
+    if (it->second == hls::AccessPattern::kConsecutive) consecutive += sc.count;
   }
 
   KernelProfile profile;
