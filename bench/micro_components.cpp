@@ -33,15 +33,22 @@ void BM_SimulatorVecaddCyclesPerSec(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorVecaddCyclesPerSec)->Arg(1)->Arg(4);
 
-void BM_KernelCompile(benchmark::State& state) {
-  auto bench = suite::make_benchmark("blackscholes");
+// One kernel compiled cold per iteration. lavamd spills, so at -O2 it also
+// walks the pressure ladder (three lowering variants).
+void BM_KernelCompile(benchmark::State& state, const char* name, int opt_level) {
+  auto bench = suite::make_benchmark(name);
+  codegen::Options options;
+  options.opt_level = opt_level;
   for (auto _ : state) {
-    auto compiled = codegen::compile_kernel(bench.module.kernels[0]);
+    auto compiled = codegen::compile_kernel(bench.module.kernels[0], options);
     benchmark::DoNotOptimize(compiled);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_KernelCompile);
+BENCHMARK_CAPTURE(BM_KernelCompile, blackscholes_O0, "blackscholes", 0);
+BENCHMARK_CAPTURE(BM_KernelCompile, blackscholes_O2, "blackscholes", 2);
+BENCHMARK_CAPTURE(BM_KernelCompile, lavamd_O0, "lavamd", 0);
+BENCHMARK_CAPTURE(BM_KernelCompile, lavamd_O2, "lavamd", 2);
 
 void BM_HlsSynthesize(benchmark::State& state) {
   auto bench = suite::make_benchmark("gaussian");

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -259,6 +258,14 @@ LvnKey lvn_key(const MInstr& m) {
   return {opcode, m.rs1, m.rs2, m.rs3, m.imm, m.target};
 }
 
+// FNV-1a-style mix of a key: compared before the key itself, so the LVN
+// scan rarely pays a full key comparison.
+uint64_t lvn_hash(const LvnKey& key) {
+  uint64_t h = 0xCBF29CE484222325ull;
+  for (const int64_t v : key) h = (h ^ static_cast<uint64_t>(v)) * 0x100000001B3ull;
+  return h;
+}
+
 class Peep {
  public:
   Peep(MFunction& fn, int opt_level, PeepholeStats& stats, RemarkSink* sink)
@@ -510,7 +517,17 @@ class Peep {
     // across the whole run, and on this machine the resulting spill traffic
     // (per-lane stacks never coalesce) costs far more than a recompute.
     constexpr int kLvnWindow = 48;
-    std::map<LvnKey, std::pair<int, int>> lvn;  // key -> (vreg, position)
+    // Value table in position order, cleared at labels and SIMT ops. A
+    // lookup scans back over the last kLvnWindow positions only: the first
+    // entry it meets is the newest for its key, and any older one for the
+    // same key is outside the window too.
+    struct LvnEntry {
+      LvnKey key;
+      uint64_t hash;
+      int vreg;
+      int pos;
+    };
+    std::vector<LvnEntry> lvn;
     for (size_t i = 0; i < fn_.code.size(); ++i) {
       MInstr& m = fn_.code[i];
       if (deleted_[i]) continue;
@@ -567,15 +584,22 @@ class Peep {
         }
         if (ok) {
           const LvnKey key = lvn_key(m);
-          auto it = lvn.find(key);
-          if (it != lvn.end() &&
-              static_cast<int>(i) - it->second.second <= kLvnWindow) {
+          const uint64_t hash = lvn_hash(key);
+          const int pos = static_cast<int>(i);
+          const LvnEntry* hit = nullptr;
+          for (auto it = lvn.rbegin(); it != lvn.rend() && pos - it->pos <= kLvnWindow; ++it) {
+            if (it->hash == hash && it->key == key) {
+              hit = &*it;
+              break;
+            }
+          }
+          if (hit != nullptr) {
             note(m, "peep.lvn", "recomputation replaced by earlier value");
-            replace_[m.rd - kFirstVirtual] = it->second.first;
+            replace_[m.rd - kFirstVirtual] = hit->vreg;
             deleted_[i] = true;
             ++stats_.numbered;
           } else {
-            lvn[key] = {m.rd, static_cast<int>(i)};
+            lvn.push_back({key, hash, m.rd, pos});
           }
         }
       }

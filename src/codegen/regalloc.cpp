@@ -65,15 +65,21 @@ struct AccessInfo {
   }
 };
 
-std::unordered_map<int, AccessInfo> collect_accesses(const MFunction& fn) {
-  std::unordered_map<int, AccessInfo> info;
+// Per-vreg tables are dense vectors indexed by `vreg - kFirstVirtual`;
+// every vreg of `fn` was handed out by MFunction::new_vreg.
+size_t vreg_count(const MFunction& fn) {
+  return static_cast<size_t>(std::max(fn.next_vreg - kFirstVirtual, 0));
+}
+
+std::vector<AccessInfo> collect_accesses(const MFunction& fn) {
+  std::vector<AccessInfo> info(vreg_count(fn));
   for (size_t i = 0; i < fn.code.size(); ++i) {
     const MInstr& m = fn.code[i];
     if (m.is_label()) continue;
     const int pos = static_cast<int>(i);
     auto touch = [&](int reg) {
       if (!is_virtual(reg)) return;
-      auto& a = info[reg];
+      auto& a = info[static_cast<size_t>(reg - kFirstVirtual)];
       if (a.positions.empty() || a.positions.back() != pos) a.positions.push_back(pos);
     };
     touch(m.rs1);
@@ -81,7 +87,7 @@ std::unordered_map<int, AccessInfo> collect_accesses(const MFunction& fn) {
     touch(m.rs3);
     if (is_virtual(m.rd)) {
       touch(m.rd);
-      ++info[m.rd].def_count;
+      ++info[static_cast<size_t>(m.rd - kFirstVirtual)].def_count;
     }
   }
   return info;
@@ -90,14 +96,14 @@ std::unordered_map<int, AccessInfo> collect_accesses(const MFunction& fn) {
 }  // namespace
 
 std::vector<Interval> compute_intervals(const MFunction& fn) {
-  std::unordered_map<int, UseInfo> uses;
+  std::vector<UseInfo> uses(vreg_count(fn));
 
   for (size_t i = 0; i < fn.code.size(); ++i) {
     const MInstr& m = fn.code[i];
     if (m.is_label()) continue;
     const int pos = static_cast<int>(i);
     auto touch = [&](int reg, bool flt) {
-      if (is_virtual(reg)) uses[reg].touch(pos, flt);
+      if (is_virtual(reg)) uses[static_cast<size_t>(reg - kFirstVirtual)].touch(pos, flt);
     };
     touch(m.rd, slot_rd_float(m.op));
     touch(m.rs1, slot_rs1_float(m.op));
@@ -115,8 +121,7 @@ std::vector<Interval> compute_intervals(const MFunction& fn) {
   bool changed = true;
   while (changed) {
     changed = false;
-    for (auto& [vreg, info] : uses) {
-      (void)vreg;
+    for (auto& info : uses) {
       for (const auto& edge : back_edges) {
         if (info.first < edge.to && info.last >= edge.to && info.last < edge.from) {
           info.last = edge.from;
@@ -128,8 +133,11 @@ std::vector<Interval> compute_intervals(const MFunction& fn) {
 
   std::vector<Interval> intervals;
   intervals.reserve(uses.size());
-  for (const auto& [vreg, info] : uses) {
-    intervals.push_back(Interval{vreg, info.first, info.last, info.is_float});
+  for (size_t k = 0; k < uses.size(); ++k) {
+    const UseInfo& info = uses[k];
+    if (info.first < 0) continue;
+    intervals.push_back(
+        Interval{static_cast<int>(k) + kFirstVirtual, info.first, info.last, info.is_float});
   }
   std::sort(intervals.begin(), intervals.end(), [](const Interval& a, const Interval& b) {
     return std::tie(a.start, a.vreg) < std::tie(b.start, b.vreg);
@@ -143,6 +151,9 @@ Allocation allocate_registers(const MFunction& fn, const RegAllocConfig& config,
   const auto intervals = compute_intervals(fn);
   const auto accesses = collect_accesses(fn);
   const auto back_edges = collect_back_edges(fn);
+  const auto access = [&](int vreg) -> const AccessInfo& {
+    return accesses[static_cast<size_t>(vreg - kFirstVirtual)];
+  };
 
   // Peak simultaneous liveness over both register classes (intervals are
   // sorted by start): the `max_pressure` figure of the pass telemetry.
@@ -160,7 +171,7 @@ Allocation allocate_registers(const MFunction& fn, const RegAllocConfig& config,
   // number of accesses the stack will serve (the decision's cost proxy).
   const auto note = [&](const char* name, const char* detail, int vreg, int from_pos) {
     if (sink == nullptr) return;
-    const auto& a = accesses.at(vreg);
+    const auto& a = access(vreg);
     const int64_t served = a.positions.end() - std::lower_bound(a.positions.begin(),
                                                                 a.positions.end(), from_pos);
     std::string site = "<unknown>";
@@ -181,7 +192,7 @@ Allocation allocate_registers(const MFunction& fn, const RegAllocConfig& config,
   // exactly when it skips W's def (to > def) and W still has register
   // accesses in [to, P).
   auto split_safe = [&](int vreg, int split_pos) {
-    const auto& a = accesses.at(vreg);
+    const auto& a = access(vreg);
     if (a.def_count != 1) return false;
     const int def = a.def_pos();
     if (def < 0 || def >= split_pos) return false;
@@ -239,24 +250,24 @@ Allocation allocate_registers(const MFunction& fn, const RegAllocConfig& config,
       // stack — then later end, then lower vreg). The current interval
       // competes with its first access *after* its def.
       auto cost_key = [&](const Interval& iv, int next) {
-        const auto& a = accesses.at(iv.vreg);
+        const auto& a = access(iv.vreg);
         const int remaining =
             static_cast<int>(a.positions.end() -
                              std::lower_bound(a.positions.begin(), a.positions.end(), start));
         return std::make_tuple(next, -remaining, iv.end, -iv.vreg);
       };
-      const int current_next = accesses.at(interval.vreg).next_access(start + 1);
+      const int current_next = access(interval.vreg).next_access(start + 1);
       Active* victim = nullptr;
       for (auto& cand : active) {
-        const int cand_next = accesses.at(cand.interval.vreg).next_access(start);
+        const int cand_next = access(cand.interval.vreg).next_access(start);
         if (!victim || cost_key(cand.interval, cand_next) >
                            cost_key(victim->interval,
-                                    accesses.at(victim->interval.vreg).next_access(start))) {
+                                    access(victim->interval.vreg).next_access(start))) {
           victim = &cand;
         }
       }
       const int victim_next =
-          victim ? accesses.at(victim->interval.vreg).next_access(start) : INT_MIN;
+          victim ? access(victim->interval.vreg).next_access(start) : INT_MIN;
       if (victim && cost_key(victim->interval, victim_next) >
                         cost_key(interval, current_next)) {
         // Evict the victim; split it if safe, spill it whole otherwise.
@@ -266,7 +277,7 @@ Allocation allocate_registers(const MFunction& fn, const RegAllocConfig& config,
           note("ra.split", "evicted live range split: register until eviction, stack after",
                w, start);
           alloc.split[w] = SplitAssign{encode(victim->phys), start, -1};
-          requests.push_back({w, accesses.at(w).def_pos(), victim->interval.end, true});
+          requests.push_back({w, access(w).def_pos(), victim->interval.end, true});
         } else {
           note("ra.spill", "evicted live range spilled whole", w, victim->interval.start);
           requests.push_back({w, victim->interval.start, victim->interval.end, false});

@@ -12,19 +12,6 @@
 namespace fgpu::kir {
 namespace {
 
-// RISC-V-compatible integer division semantics so the reference model and
-// the soft-GPU binary agree bit for bit.
-int32_t div_i32(int32_t a, int32_t b) {
-  if (b == 0) return -1;
-  if (a == std::numeric_limits<int32_t>::min() && b == -1) return a;
-  return a / b;
-}
-int32_t rem_i32(int32_t a, int32_t b) {
-  if (b == 0) return a;
-  if (a == std::numeric_limits<int32_t>::min() && b == -1) return 0;
-  return a % b;
-}
-
 float powi_f32(float base, int32_t n) {
   const bool invert = n < 0;
   uint32_t m = invert ? 0u - static_cast<uint32_t>(n) : static_cast<uint32_t>(n);
@@ -35,15 +22,6 @@ float powi_f32(float base, int32_t n) {
     m >>= 1;
   }
   return invert ? 1.0f / result : result;
-}
-
-// fcvt.w.s: truncation with clamping, NaN -> INT_MAX.
-uint32_t f2i_bits(uint32_t a) {
-  const float f = u2f(a);
-  if (std::isnan(f)) return 0x7FFFFFFFu;
-  if (f <= -2147483648.0f) return 0x80000000u;
-  if (f >= 2147483648.0f) return 0x7FFFFFFFu;
-  return static_cast<uint32_t>(static_cast<int32_t>(f));
 }
 
 constexpr uint32_t kNone = ~0u;

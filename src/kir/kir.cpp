@@ -1,5 +1,7 @@
 #include "kir/kir.hpp"
 
+#include <charconv>
+#include <cstdio>
 #include <functional>
 #include <sstream>
 
@@ -157,59 +159,102 @@ bool expr_reads_buffer(const ExprPtr& e, int buffer, bool is_local) {
   return false;
 }
 
-std::string expr_to_string(const ExprPtr& e) {
-  if (!e) return "<null>";
-  std::ostringstream os;
+// Every node appends to the one buffer; nothing builds a temporary string.
+void append_expr(std::string& out, const ExprPtr& e, size_t stop_after) {
+  if (out.size() > stop_after) return;
+  if (!e) {
+    out += "<null>";
+    return;
+  }
+  const auto num = [&](int32_t v) {
+    char buf[16];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  };
+  const auto sub = [&](const ExprPtr& x) { append_expr(out, x, stop_after); };
+  const auto wrap = [&](const char* open, const ExprPtr& x, const char* close) {
+    out += open;
+    sub(x);
+    out += close;
+  };
+  const auto call = [&](const char* name) {
+    out += name;
+    out += '(';
+    for (size_t i = 0; i < e->args.size(); ++i) {
+      if (i) out += ", ";
+      sub(e->args[i]);
+    }
+    out += ')';
+  };
   switch (e->kind) {
-    case ExprKind::kConstInt: os << e->ival; break;
-    case ExprKind::kConstFloat: os << e->fval << "f"; break;
-    case ExprKind::kVar: os << e->var; break;
-    case ExprKind::kParam: os << "param" << e->index; break;
+    case ExprKind::kConstInt: num(e->ival); break;
+    case ExprKind::kConstFloat: {
+      // std::ostream's default float form: %g at precision 6.
+      char buf[32];
+      const int n = std::snprintf(buf, sizeof(buf), "%g", static_cast<double>(e->fval));
+      out.append(buf, static_cast<size_t>(n));
+      out += 'f';
+      break;
+    }
+    case ExprKind::kVar: out += e->var; break;
+    case ExprKind::kParam:
+      out += "param";
+      num(e->index);
+      break;
     case ExprKind::kBinary:
       if (e->bin == BinOp::kMin || e->bin == BinOp::kMax) {
-        os << bin_symbol(e->bin) << "(" << expr_to_string(e->a()) << ", "
-           << expr_to_string(e->b()) << ")";
+        call(bin_symbol(e->bin));
       } else {
-        os << "(" << expr_to_string(e->a()) << " " << bin_symbol(e->bin) << " "
-           << expr_to_string(e->b()) << ")";
+        out += '(';
+        sub(e->a());
+        out += ' ';
+        out += bin_symbol(e->bin);
+        wrap(" ", e->b(), ")");
       }
       break;
     case ExprKind::kUnary:
       switch (e->un) {
-        case UnOp::kNeg: os << "(-" << expr_to_string(e->a()) << ")"; break;
-        case UnOp::kNot: os << "(!" << expr_to_string(e->a()) << ")"; break;
-        case UnOp::kAbs: os << "fabs(" << expr_to_string(e->a()) << ")"; break;
-        case UnOp::kBitcastI2F: os << "as_float(" << expr_to_string(e->a()) << ")"; break;
-        case UnOp::kBitcastF2I: os << "as_int(" << expr_to_string(e->a()) << ")"; break;
+        case UnOp::kNeg: wrap("(-", e->a(), ")"); break;
+        case UnOp::kNot: wrap("(!", e->a(), ")"); break;
+        case UnOp::kAbs: wrap("fabs(", e->a(), ")"); break;
+        case UnOp::kBitcastI2F: wrap("as_float(", e->a(), ")"); break;
+        case UnOp::kBitcastF2I: wrap("as_int(", e->a(), ")"); break;
       }
       break;
     case ExprKind::kSelect:
-      os << "(" << expr_to_string(e->a()) << " ? " << expr_to_string(e->b()) << " : "
-         << expr_to_string(e->c()) << ")";
+      wrap("(", e->a(), " ? ");
+      sub(e->b());
+      wrap(" : ", e->c(), ")");
       break;
     case ExprKind::kCast:
-      os << "(" << to_string(e->type) << ")(" << expr_to_string(e->a()) << ")";
+      out += '(';
+      out += to_string(e->type);
+      wrap(")(", e->a(), ")");
       break;
     case ExprKind::kLoad:
       if (e->pipelined) {
-        os << "__pipelined_load(buf" << e->index << " + " << expr_to_string(e->a()) << ")";
+        out += "__pipelined_load(buf";
+        num(e->index);
+        wrap(" + ", e->a(), ")");
       } else {
-        os << (e->is_local ? "local" : "buf") << e->index << "[" << expr_to_string(e->a()) << "]";
+        out += e->is_local ? "local" : "buf";
+        num(e->index);
+        wrap("[", e->a(), "]");
       }
       break;
     case ExprKind::kSpecial:
-      os << special_name(e->special) << "(" << e->index << ")";
+      out += special_name(e->special);
+      out += '(';
+      num(e->index);
+      out += ')';
       break;
-    case ExprKind::kCall:
-      os << builtin_name(e->call) << "(";
-      for (size_t i = 0; i < e->args.size(); ++i) {
-        if (i) os << ", ";
-        os << expr_to_string(e->args[i]);
-      }
-      os << ")";
-      break;
+    case ExprKind::kCall: call(builtin_name(e->call)); break;
   }
-  return os.str();
+}
+
+std::string expr_to_string(const ExprPtr& e) {
+  std::string out;
+  append_expr(out, e);
+  return out;
 }
 
 namespace {

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace fgpu::kir {
@@ -27,6 +28,14 @@ inline const char* to_string(Scalar s) { return s == Scalar::kI32 ? "int" : "flo
 
 // ---------------------------------------------------------------------------
 // Expressions (immutable trees)
+//
+// An Expr is never mutated once built. Rewrites (const_fold, LICM, strength
+// reduction, CSE, pipelined-load marking) rebuild only the nodes on the path
+// to a change (rebuild_args below) and keep every untouched subtree as the
+// same pointer, so after a rewrite one node may be shared by several parents
+// or statements. The exception is expand_builtins' output: it copies every
+// node, giving each occurrence its own node, because load sites are keyed by
+// node address (see expand_builtins in passes.hpp).
 // ---------------------------------------------------------------------------
 
 enum class ExprKind : uint8_t {
@@ -88,11 +97,31 @@ struct Expr {
   const ExprPtr& c() const { return args[2]; }
 };
 
+// Copy-on-write child rewrite: applies `fn` to each argument of `e` and
+// returns `e` itself when every result is the argument's own pointer,
+// otherwise a copy of `e` holding the new arguments.
+template <typename Fn>
+ExprPtr rebuild_args(const ExprPtr& e, Fn&& fn) {
+  std::shared_ptr<Expr> copy;
+  for (size_t i = 0; i < e->args.size(); ++i) {
+    ExprPtr arg = fn(e->args[i]);
+    if (arg == e->args[i]) continue;
+    if (!copy) copy = std::make_shared<Expr>(*e);
+    copy->args[i] = std::move(arg);
+  }
+  if (!copy) return e;
+  return copy;
+}
+
 // Structural helpers (used by CSE, the verifier and the HLS DFG builder).
 bool expr_equal(const ExprPtr& a, const ExprPtr& b);
 size_t expr_hash(const ExprPtr& e);
 size_t expr_size(const ExprPtr& e);  // node count
 std::string expr_to_string(const ExprPtr& e);
+// Appends expr_to_string(e) to `out`. Once `out` is longer than
+// `stop_after`, no further node is rendered; the bytes written are always a
+// prefix of the full rendering.
+void append_expr(std::string& out, const ExprPtr& e, size_t stop_after = std::string::npos);
 bool expr_is_pure(const ExprPtr& e);  // no loads
 // True if the expression contains a load from the given buffer/local slot.
 bool expr_reads_buffer(const ExprPtr& e, int buffer, bool is_local);

@@ -11,6 +11,8 @@
 // non-negativity proof below.
 #include <algorithm>
 #include <optional>
+#include <string_view>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -40,52 +42,47 @@ int stmt_size(const StmtPtr& s) {
 }  // namespace
 
 std::string stmt_summary(const Kernel& kernel, const Stmt& s) {
-  const auto buf_name = [&](int buffer, bool is_local) -> std::string {
-    if (is_local) {
-      return buffer >= 0 && buffer < static_cast<int>(kernel.locals.size())
-                 ? kernel.locals[static_cast<size_t>(buffer)].name
-                 : "<local>";
-    }
-    return buffer >= 0 && buffer < static_cast<int>(kernel.params.size())
-               ? kernel.params[static_cast<size_t>(buffer)].name
-               : "<buffer>";
+  constexpr size_t kMaxLabel = 80;
+  const auto buf_name = [&](int buffer, bool is_local) -> std::string_view {
+    const size_t count = is_local ? kernel.locals.size() : kernel.params.size();
+    const auto i = static_cast<size_t>(buffer);
+    if (buffer < 0 || i >= count) return is_local ? "<local>" : "<buffer>";
+    return is_local ? kernel.locals[i].name : kernel.params[i].name;
   };
   std::string text;
+  // Appends text and expressions in order. Expressions stop rendering once
+  // the label is past the cap: only its first kMaxLabel - 3 bytes survive
+  // the truncation below, and those are exact.
+  const auto put = [&](const auto&... parts) {
+    const auto one = [&](const auto& part) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(part)>, ExprPtr>) {
+        append_expr(text, part, kMaxLabel);
+      } else {
+        text += part;
+      }
+    };
+    (one(parts), ...);
+  };
   switch (s.kind) {
-    case StmtKind::kLet:
-      text = "let " + s.var + " = " + expr_to_string(s.a);
-      break;
-    case StmtKind::kAssign:
-      text = s.var + " = " + expr_to_string(s.a);
-      break;
-    case StmtKind::kStore:
-      text = buf_name(s.buffer, s.is_local) + "[" + expr_to_string(s.a) +
-             "] = " + expr_to_string(s.b);
-      break;
-    case StmtKind::kIf:
-      text = "if (" + expr_to_string(s.a) + ")";
-      break;
+    case StmtKind::kLet: put("let ", s.var, " = ", s.a); break;
+    case StmtKind::kAssign: put(s.var, " = ", s.a); break;
+    case StmtKind::kStore: put(buf_name(s.buffer, s.is_local), "[", s.a, "] = ", s.b); break;
+    case StmtKind::kIf: put("if (", s.a, ")"); break;
     case StmtKind::kFor:
-      text = "for (" + s.var + " = " + expr_to_string(s.a) + "; " + s.var + " < " +
-             expr_to_string(s.b) + "; " + s.var + " += " + expr_to_string(s.c) + ")";
+      put("for (", s.var, " = ", s.a, "; ", s.var, " < ", s.b, "; ", s.var, " += ", s.c, ")");
       break;
-    case StmtKind::kWhile:
-      text = "while (" + expr_to_string(s.a) + ")";
-      break;
-    case StmtKind::kBarrier:
-      text = "barrier()";
-      break;
+    case StmtKind::kWhile: put("while (", s.a, ")"); break;
+    case StmtKind::kBarrier: put("barrier()"); break;
     case StmtKind::kAtomic:
-      text = (s.result_var.empty() ? std::string() : s.result_var + " = ") + "atomic(&" +
-             buf_name(s.buffer, s.is_local) + "[" + expr_to_string(s.a) + "], " +
-             expr_to_string(s.b) + ")";
+      if (!s.result_var.empty()) put(s.result_var, " = ");
+      put("atomic(&", buf_name(s.buffer, s.is_local), "[", s.a, "], ", s.b, ")");
       break;
-    case StmtKind::kPrint:
-      text = "printf(\"" + s.text + "\", ...)";
-      break;
+    case StmtKind::kPrint: put("printf(\"", s.text, "\", ...)"); break;
   }
-  constexpr size_t kMaxLabel = 80;
-  if (text.size() > kMaxLabel) text = text.substr(0, kMaxLabel - 3) + "...";
+  if (text.size() > kMaxLabel) {
+    text.resize(kMaxLabel - 3);
+    text += "...";
+  }
   return text;
 }
 
@@ -249,8 +246,7 @@ struct SrCtx {
 };
 
 ExprPtr reduce_expr(const ExprPtr& e, SrCtx& ctx) {
-  auto node = std::make_shared<Expr>(*e);
-  for (auto& arg : node->args) arg = reduce_expr(arg, ctx);
+  const ExprPtr node = rebuild_args(e, [&](const ExprPtr& arg) { return reduce_expr(arg, ctx); });
   if (node->kind != ExprKind::kBinary || node->type != Scalar::kI32) return node;
   const auto cint = [](const ExprPtr& x) -> std::optional<int32_t> {
     if (x->kind == ExprKind::kConstInt) return x->ival;
@@ -408,10 +404,8 @@ void collect_from_block(const std::vector<StmtPtr>& block,
 
 ExprPtr rewrite_expr(const ExprPtr& e, const ExprPtr& pattern, const ExprPtr& replacement) {
   if (expr_equal(e, pattern)) return replacement;
-  if (e->args.empty()) return e;
-  auto node = std::make_shared<Expr>(*e);
-  for (auto& arg : node->args) arg = rewrite_expr(arg, pattern, replacement);
-  return node;
+  return rebuild_args(
+      e, [&](const ExprPtr& arg) { return rewrite_expr(arg, pattern, replacement); });
 }
 
 void rewrite_block(std::vector<StmtPtr>& block, const ExprPtr& pattern,

@@ -7,6 +7,7 @@
 
 #include "common/bits.hpp"
 #include "kir/build.hpp"
+#include "kir/interp.hpp"
 
 namespace fgpu::kir {
 
@@ -207,9 +208,12 @@ bool is_const(const ExprPtr& e) {
   return e->kind == ExprKind::kConstInt || e->kind == ExprKind::kConstFloat;
 }
 
+// Folds with the interpreter's own semantics: integer + - * and negation
+// wrap mod 2^32, division and float->int conversion go through the same
+// scalar functions the interpreter runs (interp.hpp).
 ExprPtr fold_expr(const ExprPtr& e, int& count) {
-  auto node = std::make_shared<Expr>(*e);
-  for (auto& arg : node->args) arg = fold_expr(arg, count);
+  const ExprPtr node = rebuild_args(e, [&](const ExprPtr& arg) { return fold_expr(arg, count); });
+  const auto wrap = [](uint32_t v) { return make_ci32(static_cast<int32_t>(v)); };
 
   if (node->kind == ExprKind::kBinary && is_const(node->a()) && is_const(node->b())) {
     const ExprPtr &a = node->a(), &b = node->b();
@@ -233,14 +237,15 @@ ExprPtr fold_expr(const ExprPtr& e, int& count) {
       }
     } else {
       const int32_t x = a->ival, y = b->ival;
+      const uint32_t ux = static_cast<uint32_t>(x), uy = static_cast<uint32_t>(y);
       switch (node->bin) {
-        case BinOp::kAdd: return make_ci32(x + y);
-        case BinOp::kSub: return make_ci32(x - y);
-        case BinOp::kMul: return make_ci32(x * y);
+        case BinOp::kAdd: return wrap(ux + uy);
+        case BinOp::kSub: return wrap(ux - uy);
+        case BinOp::kMul: return wrap(ux * uy);
         case BinOp::kAnd: return make_ci32(x & y);
         case BinOp::kOr: return make_ci32(x | y);
         case BinOp::kXor: return make_ci32(x ^ y);
-        case BinOp::kShl: return make_ci32(x << (y & 31));
+        case BinOp::kShl: return wrap(ux << (uy & 31));
         case BinOp::kShr: return make_ci32(x >> (y & 31));
         case BinOp::kMin: return make_ci32(std::min(x, y));
         case BinOp::kMax: return make_ci32(std::max(x, y));
@@ -252,12 +257,14 @@ ExprPtr fold_expr(const ExprPtr& e, int& count) {
         case BinOp::kNe: return make_ci32(x != y);
         case BinOp::kLAnd: return make_ci32(x != 0 && y != 0);
         case BinOp::kLOr: return make_ci32(x != 0 || y != 0);
+        // A constant zero divisor is left unfolded; it runs with the same
+        // no-trap result.
         case BinOp::kDiv:
-          if (y != 0) return make_ci32(x / y);
+          if (y != 0) return make_ci32(div_i32(x, y));
           --count;
           break;
         case BinOp::kRem:
-          if (y != 0) return make_ci32(x % y);
+          if (y != 0) return make_ci32(rem_i32(x, y));
           --count;
           break;
       }
@@ -286,19 +293,20 @@ ExprPtr fold_expr(const ExprPtr& e, int& count) {
   if (node->kind == ExprKind::kCast && is_const(node->a())) {
     ++count;
     if (node->type == Scalar::kF32) return make_cf32(static_cast<float>(node->a()->ival));
-    return make_ci32(static_cast<int32_t>(node->a()->fval));
+    return wrap(f2i_bits(f2u(node->a()->fval)));
   }
   if (node->kind == ExprKind::kUnary && is_const(node->a())) {
     const ExprPtr& a = node->a();
+    const uint32_t ua = static_cast<uint32_t>(a->ival);
     switch (node->un) {
       case UnOp::kNeg:
         ++count;
-        return a->type == Scalar::kF32 ? make_cf32(-a->fval) : make_ci32(-a->ival);
+        return a->type == Scalar::kF32 ? make_cf32(-a->fval) : wrap(0u - ua);
       case UnOp::kNot: ++count; return make_ci32(a->ival == 0);
       case UnOp::kAbs:
         ++count;
         return a->type == Scalar::kF32 ? make_cf32(std::fabs(a->fval))
-                                       : make_ci32(std::abs(a->ival));
+                                       : wrap(a->ival < 0 ? 0u - ua : ua);
       default:
         break;
     }
@@ -338,10 +346,9 @@ ExprPtr replace_expr(const ExprPtr& e, const ExprPtr& pattern, const ExprPtr& re
     ++replaced;
     return replacement;
   }
-  if (e->args.empty()) return e;
-  auto node = std::make_shared<Expr>(*e);
-  for (auto& arg : node->args) arg = replace_expr(arg, pattern, replacement, replaced);
-  return node;
+  return rebuild_args(e, [&](const ExprPtr& arg) {
+    return replace_expr(arg, pattern, replacement, replaced);
+  });
 }
 
 // Collects every non-trivial subexpression of `e` into `out`.
@@ -476,13 +483,12 @@ int cse_variable_reuse(Kernel& kernel) {
 namespace {
 
 ExprPtr mark_loads(const ExprPtr& e, int& count) {
-  auto node = std::make_shared<Expr>(*e);
-  for (auto& arg : node->args) arg = mark_loads(arg, count);
-  if (node->kind == ExprKind::kLoad && !node->is_local && !node->pipelined) {
-    node->pipelined = true;
-    ++count;
-  }
-  return node;
+  const ExprPtr node = rebuild_args(e, [&](const ExprPtr& arg) { return mark_loads(arg, count); });
+  if (node->kind != ExprKind::kLoad || node->is_local || node->pipelined) return node;
+  auto marked = std::make_shared<Expr>(*node);
+  marked->pipelined = true;
+  ++count;
+  return marked;
 }
 
 void mark_block(std::vector<StmtPtr>& block, int& count) {

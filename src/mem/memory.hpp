@@ -91,10 +91,8 @@ class MainMemory {
   }
   Page& touch_page(uint32_t addr) {
     auto& slot = pages_[addr >> kPageBits];
-    if (!slot) {
-      slot = std::make_unique<Page>();
-      slot->fill(0);
-    }
+    // make_unique value-initialises the array: the page is already zero.
+    if (!slot) slot = std::make_unique<Page>();
     return *slot;
   }
 

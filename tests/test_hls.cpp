@@ -210,6 +210,43 @@ TEST(HlsDeviceTest, MatchesSoftGpuResults) {
   }
 }
 
+TEST(HlsDeviceTest, SharedLoadNodeBecomesTwoSitesWithTheirOwnCounts) {
+  // `x * x` with one load ExprPtr: builtin expansion copies every node, so
+  // each occurrence is its own access site with its own request count.
+  KernelBuilder kb("square");
+  Buf a = kb.buf_f32("a"), out = kb.buf_f32("out");
+  Val gid = kb.global_id(0);
+  Val x = kb.load(a, gid);
+  kb.store(out, gid, x * x);
+  kir::Kernel kernel = kb.build();
+  const kir::ExprPtr& product = kernel.body[0]->b;
+  ASSERT_EQ(product->a(), product->b());
+
+  kir::Kernel expanded = kir::clone_kernel(kernel);
+  kir::expand_builtins(expanded);
+  const kir::ExprPtr& copied = expanded.body[0]->b;
+  EXPECT_NE(copied->a(), copied->b());
+  EXPECT_TRUE(kir::expr_equal(copied->a(), copied->b()));
+
+  kir::Module module;
+  module.kernels.push_back(kernel);
+  vcl::HlsDevice device;
+  ASSERT_TRUE(device.build(module).is_ok());
+  const uint32_t n = 256;
+  auto in = device.upload(std::vector<uint32_t>(n, f2u(3.0f)));
+  auto out_buf = device.alloc(n * 4);
+  auto stats = device.launch("square", {in, out_buf}, NDRange::linear(n, 64));
+  ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
+  EXPECT_EQ(device.download<uint32_t>(out_buf), std::vector<uint32_t>(n, f2u(9.0f)));
+  ASSERT_EQ(stats->hls_sites.size(), 3u);  // two loads + the store
+  int loads = 0;
+  for (const auto& site : stats->hls_sites) {
+    EXPECT_EQ(site.requests, static_cast<uint64_t>(n)) << site.source << " (" << site.lsu << ")";
+    loads += site.lsu == "store" ? 0 : 1;
+  }
+  EXPECT_EQ(loads, 2);
+}
+
 TEST(HlsDeviceTest, TimingScalesWithItems) {
   kir::Module module;
   module.kernels.push_back(make_vecadd());

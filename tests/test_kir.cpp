@@ -349,6 +349,105 @@ TEST(KirCloneTest, CloneIsDeep) {
   EXPECT_NE(copy.body[0]->body[0].get(), original.body[0]->body[0].get());
 }
 
+// ---------------------------------------------------------------------------
+// Printer: the exact text of every node kind (source-map labels, remark
+// sites and HLS site names are built from it)
+// ---------------------------------------------------------------------------
+
+ExprPtr param_expr(int index, Scalar type) {
+  auto e = std::make_shared<Expr>();
+  e->kind = ExprKind::kParam;
+  e->type = type;
+  e->index = index;
+  return e;
+}
+
+TEST(KirPrinterTest, EveryExprKindHasItsExactText) {
+  const ExprPtr v = make_var("v", Scalar::kI32);
+  const ExprPtr f = make_var("f", Scalar::kF32);
+  const ExprPtr c3 = make_ci32(3);
+  EXPECT_EQ(expr_to_string(nullptr), "<null>");
+  EXPECT_EQ(expr_to_string(make_ci32(-2147483647 - 1)), "-2147483648");
+  EXPECT_EQ(expr_to_string(v), "v");
+  EXPECT_EQ(expr_to_string(param_expr(12, Scalar::kI32)), "param12");
+  EXPECT_EQ(expr_to_string(make_bin(BinOp::kAdd, v, c3)), "(v + 3)");
+  EXPECT_EQ(expr_to_string(make_bin(BinOp::kShr, v, c3)), "(v >> 3)");
+  EXPECT_EQ(expr_to_string(make_bin(BinOp::kLAnd, v, c3)), "(v && 3)");
+  EXPECT_EQ(expr_to_string(make_bin(BinOp::kNe, v, c3)), "(v != 3)");
+  EXPECT_EQ(expr_to_string(make_bin(BinOp::kMin, v, c3)), "min(v, 3)");
+  EXPECT_EQ(expr_to_string(make_bin(BinOp::kMax, f, make_cf32(0.5f))), "max(f, 0.5f)");
+  EXPECT_EQ(expr_to_string(make_un(UnOp::kNeg, v)), "(-v)");
+  EXPECT_EQ(expr_to_string(make_un(UnOp::kNot, v)), "(!v)");
+  EXPECT_EQ(expr_to_string(make_un(UnOp::kAbs, v)), "fabs(v)");
+  EXPECT_EQ(expr_to_string(make_un(UnOp::kBitcastI2F, v)), "as_float(v)");
+  EXPECT_EQ(expr_to_string(make_un(UnOp::kBitcastF2I, f)), "as_int(f)");
+  EXPECT_EQ(expr_to_string(make_select(v, f, make_cf32(1.0f))), "(v ? f : 1f)");
+  EXPECT_EQ(expr_to_string(make_cast(Scalar::kF32, v)), "(float)(v)");
+  EXPECT_EQ(expr_to_string(make_cast(Scalar::kI32, f)), "(int)(f)");
+  EXPECT_EQ(expr_to_string(make_load(2, Scalar::kF32, false, v)), "buf2[v]");
+  EXPECT_EQ(expr_to_string(make_load(1, Scalar::kI32, true, v)), "local1[v]");
+  EXPECT_EQ(expr_to_string(make_load(2, Scalar::kF32, false, v, /*pipelined=*/true)),
+            "__pipelined_load(buf2 + v)");
+  EXPECT_EQ(expr_to_string(make_special(SpecialReg::kGlobalId, 0)), "get_global_id(0)");
+  EXPECT_EQ(expr_to_string(make_special(SpecialReg::kLocalId, 1)), "get_local_id(1)");
+  EXPECT_EQ(expr_to_string(make_special(SpecialReg::kGroupId, 2)), "get_group_id(2)");
+  EXPECT_EQ(expr_to_string(make_special(SpecialReg::kGlobalSize, 0)), "get_global_size(0)");
+  EXPECT_EQ(expr_to_string(make_special(SpecialReg::kLocalSize, 1)), "get_local_size(1)");
+  EXPECT_EQ(expr_to_string(make_special(SpecialReg::kNumGroups, 2)), "get_num_groups(2)");
+  EXPECT_EQ(expr_to_string(make_call(Builtin::kSqrt, {f})), "sqrt(f)");
+  EXPECT_EQ(expr_to_string(make_call(Builtin::kRsqrt, {f})), "rsqrt(f)");
+  EXPECT_EQ(expr_to_string(make_call(Builtin::kExp, {f})), "exp(f)");
+  EXPECT_EQ(expr_to_string(make_call(Builtin::kLog, {f})), "log(f)");
+  EXPECT_EQ(expr_to_string(make_call(Builtin::kFloor, {f})), "floor(f)");
+  EXPECT_EQ(expr_to_string(make_call(Builtin::kPowi, {f, c3})), "powi(f, 3)");
+  // Nesting composes the forms above.
+  EXPECT_EQ(expr_to_string(make_load(0, Scalar::kI32, false,
+                                     make_bin(BinOp::kMul, param_expr(1, Scalar::kI32),
+                                              make_special(SpecialReg::kGlobalId, 0)))),
+            "buf0[(param1 * get_global_id(0))]");
+}
+
+TEST(KirPrinterTest, FloatConstantsUseShortestSixDigitForm) {
+  EXPECT_EQ(expr_to_string(make_cf32(0.1f)), "0.1f");
+  EXPECT_EQ(expr_to_string(make_cf32(1e-07f)), "1e-07f");
+  EXPECT_EQ(expr_to_string(make_cf32(1e+08f)), "1e+08f");
+  EXPECT_EQ(expr_to_string(make_cf32(3.0f)), "3f");
+  EXPECT_EQ(expr_to_string(make_cf32(-0.0f)), "-0f");
+  EXPECT_EQ(expr_to_string(make_cf32(0.69314718f)), "0.693147f");
+  EXPECT_EQ(expr_to_string(make_cf32(123456789.0f)), "1.23457e+08f");
+}
+
+Stmt let_stmt(const std::string& var, ExprPtr value) {
+  Stmt s;
+  s.kind = StmtKind::kLet;
+  s.var = var;
+  s.a = std::move(value);
+  return s;
+}
+
+TEST(KirPrinterTest, StmtSummaryCapsAtEightyCharacters) {
+  const Kernel kernel;
+  // "let x = (" + name + " + 1)" is 14 characters plus the name.
+  const auto sum_with = [](size_t name_len) {
+    return make_bin(BinOp::kAdd, make_var(std::string(name_len, 'a'), Scalar::kI32),
+                    make_ci32(1));
+  };
+  const std::string exact = stmt_summary(kernel, let_stmt("x", sum_with(66)));
+  EXPECT_EQ(exact, "let x = (" + std::string(66, 'a') + " + 1)");
+  EXPECT_EQ(exact.size(), 80u);
+  // 81 characters: the first 77 survive, then "...".
+  const std::string over = stmt_summary(kernel, let_stmt("x", sum_with(67)));
+  EXPECT_EQ(over, "let x = (" + std::string(67, 'a') + " ...");
+  EXPECT_EQ(over.size(), 80u);
+
+  // A long expression is cut at the same byte as its full rendering.
+  ExprPtr chain = make_var("v", Scalar::kI32);
+  for (int i = 0; i < 40; ++i) chain = make_bin(BinOp::kAdd, chain, make_ci32(i));
+  const std::string full = "let x = " + expr_to_string(chain);
+  ASSERT_GT(full.size(), 200u);
+  EXPECT_EQ(stmt_summary(kernel, let_stmt("x", chain)), full.substr(0, 77) + "...");
+}
+
 TEST(KirKernelTest, FeatureQueries) {
   KernelBuilder kb("k");
   Buf bins = kb.buf_i32("bins");

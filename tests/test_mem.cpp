@@ -29,6 +29,22 @@ TEST(MainMemoryTest, UntouchedMemoryReadsZero) {
   EXPECT_EQ(memory.load32(0x7FFF0000), 0u);
 }
 
+TEST(MainMemoryTest, FreshlyTouchedPageReadsZero) {
+  MainMemory memory;
+  // Dirty a page and free it, so the next page allocation is likely to
+  // reuse the same heap block.
+  memory.fill(0x30000, 0xAB, MainMemory::kPageSize);
+  memory.clear();
+  memory.store32(0x50004, 0xFFFFFFFFu);  // first touch of a new page
+  const uint8_t* page = memory.page_data(0x50000);
+  for (uint32_t i = 0; i < MainMemory::kPageSize; ++i) {
+    ASSERT_EQ(page[i], (i >= 4 && i < 8) ? 0xFFu : 0u) << "byte " << i;
+  }
+  const uint8_t* untouched = memory.page_data(0x60000);  // touched by page_data
+  EXPECT_EQ(std::count(untouched, untouched + MainMemory::kPageSize, 0),
+            static_cast<std::ptrdiff_t>(MainMemory::kPageSize));
+}
+
 TEST(MainMemoryTest, CrossPageCopy) {
   MainMemory memory;
   std::vector<uint8_t> data(MainMemory::kPageSize + 128);

@@ -4,6 +4,7 @@
 // re-assemble), and end-to-end opt-level equivalence on the device.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -133,6 +134,54 @@ TEST(KirOptTest, LicmHoistsInvariantProducts) {
   EXPECT_EQ(interp_run(original, 64, 0x11), interp_run(kernel, 64, 0x11));
 }
 
+// const_fold must fold with the interpreter's semantics: a folded kernel
+// computes what the unfolded one computes.
+constexpr int32_t kIntMin = std::numeric_limits<int32_t>::min();
+constexpr int32_t kIntMax = std::numeric_limits<int32_t>::max();
+
+uint32_t run_one_item(const kir::Kernel& kernel) {
+  std::vector<uint32_t> out(1, 0);
+  kir::Interpreter interp;
+  EXPECT_TRUE(interp.run(kernel, {kir::KernelArg::buffer(&out)}, NDRange::linear(1, 1)).is_ok());
+  return out[0];
+}
+
+// Stores `value` to out[0] and checks interp(k) == interp(const_fold(clone(k))).
+void expect_fold_agrees(const Val& value) {
+  KernelBuilder kb("fold");
+  Buf out = kb.buf_i32("out");
+  kb.store(out, Val(0), value);
+  const kir::Kernel kernel = kb.build();
+  kir::Kernel folded = kir::clone_kernel(kernel);
+  EXPECT_GT(kir::const_fold(folded), 0);
+  EXPECT_EQ(folded.body[0]->b->kind, kir::ExprKind::kConstInt);
+  EXPECT_EQ(run_one_item(folded), run_one_item(kernel)) << kir::expr_to_string(value.expr());
+}
+
+TEST(KirConstFoldSemanticsTest, FloatToIntClampsLikeFcvt) {
+  expect_fold_agrees(to_i32(Val(3.0e9f)));   // 0x7FFFFFFF
+  expect_fold_agrees(to_i32(Val(-3.0e9f)));  // 0x80000000
+  expect_fold_agrees(to_i32(Val(std::numeric_limits<float>::quiet_NaN())));
+  expect_fold_agrees(to_i32(Val(-7.9f)));
+}
+
+TEST(KirConstFoldSemanticsTest, IntMinDividedByMinusOne) {
+  expect_fold_agrees(Val(kIntMin) / Val(-1));
+}
+
+TEST(KirConstFoldSemanticsTest, IntMinRemainderByMinusOne) {
+  expect_fold_agrees(Val(kIntMin) % Val(-1));
+}
+
+TEST(KirConstFoldSemanticsTest, IntegerArithmeticWraps) {
+  expect_fold_agrees(Val(kIntMax) + Val(1));
+  expect_fold_agrees(Val(kIntMin) - Val(1));
+  expect_fold_agrees(Val(65536) * Val(65536 + 3));
+  expect_fold_agrees(-Val(kIntMin));
+  expect_fold_agrees(vabs(Val(kIntMin)));
+  expect_fold_agrees(Val(-1) << Val(31));
+}
+
 // ---------------------------------------------------------------------------
 // MInstr peephole
 // ---------------------------------------------------------------------------
@@ -223,6 +272,46 @@ TEST(PeepholeTest, ValueNumberingDeduplicatesPureComputation) {
     if (!m.is_li && !m.is_label() && m.op == arch::Op::kSll) ++sll_count;
   }
   EXPECT_EQ(sll_count, 1);
+}
+
+// Value numbering only reuses a computation at most kLvnWindow (48)
+// positions back. `gap` stores separate the two identical shifts, so the
+// second sits gap + 1 positions after the first.
+int lvn_numbered_across(int gap) {
+  codegen::MFunction fn;
+  const int a = fn.new_vreg();
+  const int x = fn.new_vreg(), y = fn.new_vreg(), z = fn.new_vreg();
+  fn.code.push_back(rr(arch::Op::kAdd, a, 5, 6));
+  fn.code.push_back(rr(arch::Op::kSll, x, a, a));
+  for (int i = 0; i < gap; ++i) fn.code.push_back(store_word(a, a));
+  fn.code.push_back(rr(arch::Op::kSll, y, a, a));
+  fn.code.push_back(rr(arch::Op::kXor, z, x, y));
+  fn.code.push_back(store_word(z, z));
+  const auto stats = codegen::peephole(fn, 2);
+  int sll_count = 0;
+  for (const auto& m : fn.code) {
+    if (!m.is_li && !m.is_label() && m.op == arch::Op::kSll) ++sll_count;
+  }
+  EXPECT_EQ(sll_count, 2 - stats.numbered);
+  return stats.numbered;
+}
+
+TEST(PeepholeTest, ValueNumberingWindowIsFortyEightPositions) {
+  EXPECT_EQ(lvn_numbered_across(47), 1);  // 48 positions apart: reused
+  EXPECT_EQ(lvn_numbered_across(48), 0);  // 49 positions apart: recomputed
+}
+
+TEST(PeepholeTest, ValueNumberingResetsAtLabels) {
+  codegen::MFunction fn;
+  const int a = fn.new_vreg();
+  const int x = fn.new_vreg(), y = fn.new_vreg(), z = fn.new_vreg();
+  fn.code.push_back(rr(arch::Op::kAdd, a, 5, 6));
+  fn.code.push_back(rr(arch::Op::kSll, x, a, a));
+  fn.label(fn.make_label());
+  fn.code.push_back(rr(arch::Op::kSll, y, a, a));
+  fn.code.push_back(rr(arch::Op::kXor, z, x, y));
+  fn.code.push_back(store_word(z, z));
+  EXPECT_EQ(codegen::peephole(fn, 2).numbered, 0);
 }
 
 TEST(PeepholeTest, FusesCompareIntoBranch) {
