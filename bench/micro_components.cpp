@@ -11,6 +11,7 @@
 #include "kir/passes.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
+#include "runtime/turbo_device.hpp"
 #include "runtime/vortex_device.hpp"
 #include "suite/suite.hpp"
 #include "vasm/assembler.hpp"
@@ -32,6 +33,31 @@ void BM_SimulatorVecaddCyclesPerSec(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimulatorVecaddCyclesPerSec)->Arg(1)->Arg(4);
+
+// One pooled turbo run per iteration (reset, then run_benchmark), timed over
+// its launches only: translation is warm after the first iteration, so this
+// is dispatch plus first-touch memory. lavamd spills to one stack page per
+// hardware thread, which reset() frees and the next launch allocates again;
+// vecadd touches no stack. C8W16T16 has 8x the hardware threads of C4W8T8.
+void BM_TurboLaunch(benchmark::State& state, const char* name, uint32_t cores, uint32_t warps,
+                    uint32_t threads) {
+  Log::level() = LogLevel::kOff;
+  auto bench = suite::make_benchmark(name);
+  vcl::TurboDevice device(vortex::Config::with(cores, warps, threads));
+  for (auto _ : state) {
+    device.reset();
+    auto run = suite::run_benchmark(device, bench);
+    if (!run.ok()) {
+      state.SkipWithError("turbo run failed");
+      break;
+    }
+    state.SetIterationTime(run.launch_host_ms / 1e3);
+  }
+}
+BENCHMARK_CAPTURE(BM_TurboLaunch, lavamd_C4W8T8, "lavamd", 4, 8, 8)->UseManualTime();
+BENCHMARK_CAPTURE(BM_TurboLaunch, lavamd_C8W16T16, "lavamd", 8, 16, 16)->UseManualTime();
+BENCHMARK_CAPTURE(BM_TurboLaunch, vecadd_C4W8T8, "vecadd", 4, 8, 8)->UseManualTime();
+BENCHMARK_CAPTURE(BM_TurboLaunch, vecadd_C8W16T16, "vecadd", 8, 16, 16)->UseManualTime();
 
 // One kernel compiled cold per iteration. lavamd spills, so at -O2 it also
 // walks the pressure ladder (three lowering variants).

@@ -183,7 +183,6 @@ class TurboCore {
     std::fill(barrier_arrived_.begin(), barrier_arrived_.end(), 0u);
     std::fill(barrier_expected_.begin(), barrier_expected_.end(), 0u);
     local_mem_.clear();
-    tlb_.fill(TlbEntry{});  // local pages were just dropped
     instret_ = 0;
     error_ = Status::ok();
     warps_[0].active = true;
@@ -286,21 +285,9 @@ class TurboCore {
     return is_local_addr(addr) ? local_mem_ : gmem_;
   }
 
-  // Software TLB over MainMemory's sparse 64 KiB pages: the dominant cost of
-  // a functional memory op is the per-access page-map hash lookup, so cache
-  // page pointers direct-mapped by page index. Page tags are full 32-bit
-  // addresses, so local vs. global routing is already baked into the tag.
-  // Reset per launch (local_mem_ is cleared then); page storage is otherwise
-  // stable until MainMemory::clear().
-  uint8_t* page(uint32_t addr) {
-    const uint32_t tag = addr >> mem::MainMemory::kPageBits;
-    TlbEntry& entry = tlb_[tag & (kTlbSize - 1)];
-    if (entry.tag != tag) {
-      entry.tag = tag;
-      entry.data = memory_for(addr).page_data(addr);
-    }
-    return entry.data;
-  }
+  // Backing storage of the page holding `addr`: a two-index walk of
+  // MainMemory's page table, as cheap as a TLB hit would be.
+  uint8_t* page(uint32_t addr) { return memory_for(addr).page_data(addr); }
   static constexpr uint32_t kPageMask = mem::MainMemory::kPageSize - 1;
 
   uint32_t load32(uint32_t addr) {
@@ -423,13 +410,6 @@ class TurboCore {
   std::vector<uint32_t> barrier_arrived_;
   std::vector<uint32_t> barrier_expected_;
   uint64_t instret_ = 0;
-
-  static constexpr uint32_t kTlbSize = 64;  // power of two
-  struct TlbEntry {
-    uint32_t tag = 0xFFFFFFFFu;  // no valid page has index 0xFFFF
-    uint8_t* data = nullptr;
-  };
-  std::array<TlbEntry, kTlbSize> tlb_;
 
   // Block caches, one per kernel name: start PC -> translated block.
   // Binaries share a load base, so PCs from different kernels must never
@@ -732,8 +712,8 @@ FGPU_TURBO_HOT void exec_FltS(TurboCore& c, uint32_t w, const TI& i) {
 
 // Coalesced warp word access: GPU kernels overwhelmingly issue unit-stride
 // (or at least same-page) warp loads and stores, so when all 8 lanes of a
-// full warp hit one 64 KiB page — and none straddles its end — one TLB
-// translation serves the whole warp instead of eight. The address and
+// full warp hit one 4 KiB page — and none straddles its end — one page-table
+// walk serves the whole warp instead of eight. The address and
 // same-page checks are branch-free lane loops the compiler vectorizes; the
 // per-lane load32/store32 path remains the fallback (partial masks,
 // cross-page scatters, straddles) and the semantic reference. Lane order is

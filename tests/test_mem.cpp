@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <tuple>
 
+#include "arch/isa.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "mem/interconnect.hpp"
@@ -54,6 +55,42 @@ TEST(MainMemoryTest, CrossPageCopy) {
   std::vector<uint8_t> out(data.size());
   memory.read(base, out.data(), static_cast<uint32_t>(out.size()));
   EXPECT_EQ(data, out);
+}
+
+// The kernel ABI gives each hardware thread a 64 KiB stack slot, but a
+// kernel that spills touches only its top words. With 4 KiB pages, one word
+// per slot makes one 4 KiB page resident: 1 MiB for 256 threads, not the
+// 16 MiB that 64 KiB pages would zero.
+TEST(MainMemoryTest, OneSpillPerStackSlotMakesOnePageResident) {
+  MainMemory memory;
+  EXPECT_EQ(memory.resident_bytes(), 0u);
+  constexpr uint32_t kThreads = 256;
+  for (uint32_t hwtid = 0; hwtid < kThreads; ++hwtid) {
+    const uint32_t sp = arch::kStackTop - (hwtid + 1) * arch::kStackSizePerThread;
+    memory.store32(sp - 4, hwtid);
+  }
+  EXPECT_EQ(memory.resident_bytes(), uint64_t{kThreads} * 4096);
+  for (uint32_t hwtid = 0; hwtid < kThreads; ++hwtid) {
+    const uint32_t sp = arch::kStackTop - (hwtid + 1) * arch::kStackSizePerThread;
+    ASSERT_EQ(memory.load32(sp - 4), hwtid);
+  }
+  memory.clear();
+  EXPECT_EQ(memory.resident_bytes(), 0u);
+}
+
+// The last page of the address space sits in the last directory slot and
+// the last leaf slot.
+TEST(MainMemoryTest, LastPageOfAddressSpaceRoundTrips) {
+  MainMemory memory;
+  constexpr uint32_t kLastPage = 0xFFFFF000u;
+  memory.store32(kLastPage, 0x01234567u);
+  memory.store32(0xFFFFFFFCu, 0x89ABCDEFu);
+  EXPECT_EQ(memory.load32(kLastPage), 0x01234567u);
+  EXPECT_EQ(memory.load32(0xFFFFFFFCu), 0x89ABCDEFu);
+  EXPECT_EQ(memory.load8(0xFFFFFFFFu), 0x89u);
+  EXPECT_EQ(memory.load32(0xFFFFEFFCu), 0u);  // the page below stays untouched
+  EXPECT_EQ(memory.resident_bytes(), uint64_t{MainMemory::kPageSize});
+  EXPECT_EQ(memory.page_data(0xFFFFFFFFu), memory.page_data(kLastPage));
 }
 
 TEST(MainMemoryTest, FillAndClear) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "common/log.hpp"
 #include "mem/memory.hpp"
@@ -215,6 +216,75 @@ TEST(TurboDivergenceTest, NestedDivergenceMatchesCycleExact) {
   // single warp): the functional tier's only "stat" must agree with the
   // oracle's count exactly.
   EXPECT_EQ(engine.last_run_instrs(), cycle_run->perf.instrs);
+}
+
+// ---------------------------------------------------------------------------
+// Coalesced-access fallback: full-mask warp words across a page boundary
+// ---------------------------------------------------------------------------
+
+// One full 8-lane warp stores and loads words whose lanes span a
+// MainMemory page boundary, so turbo's coalesced warp lw/sw must fall back to
+// per-lane access; lane 3's unaligned load also straddles it. A second store
+// starts every lane on one page, but lane 7's word straddles the next
+// boundary: the straddle check alone must send it down the fallback. Lane
+// l's value is 0x10203040 + l * 0x01010101.
+std::string page_crossing_program(uint32_t boundary, uint32_t boundary2) {
+  return R"(
+    li t0, 255
+    tmc t0
+    csrr t1, 0xCC0        # lane id
+    slli t2, t1, 2        # lane * 4
+    li t4, 0x01010101
+    mul t4, t4, t1
+    li t5, 0x10203040
+    add t4, t4, t5        # lane value
+    li t3, )" + std::to_string(boundary - 16) + R"(
+    add t3, t3, t2        # lanes 0-3 below the boundary, 4-7 above
+    sw t4, 0(t3)
+    lw t5, 2(t3)          # lane 3's word straddles the boundary
+    lw t6, 0(t3)
+    li a0, )" + std::to_string(boundary2 - 30) + R"(
+    add a0, a0, t2        # lane 7's word straddles the second boundary
+    sw t4, 0(a0)
+    li a1, 0x20000000     # output: one page-local row per result
+    add a1, a1, t2
+    sw t5, 0(a1)
+    sw t6, 32(a1)
+    tmc zero
+)";
+}
+
+TEST(TurboCoalescingTest, PageCrossingWarpAccessMatchesCycleExact) {
+  const uint32_t boundary = 0x20000000 + 2 * mem::MainMemory::kPageSize;
+  const uint32_t boundary2 = boundary + mem::MainMemory::kPageSize;
+  auto prog = vasm::assemble(page_crossing_program(boundary, boundary2));
+  ASSERT_TRUE(prog.is_ok()) << prog.status().to_string();
+  const auto config = vortex::Config::with(1, 4, 8);
+
+  mem::MainMemory cycle_mem;
+  cycle_mem.write(prog->base, prog->words.data(), prog->size_bytes());
+  vortex::Cluster cluster(config, cycle_mem);
+  ASSERT_TRUE(cluster.run(prog->entry()).is_ok());
+
+  mem::MainMemory turbo_mem;
+  turbo_mem.write(prog->base, prog->words.data(), prog->size_bytes());
+  vortex::jit::TurboEngine engine(config, turbo_mem);
+  ASSERT_TRUE(engine.run(prog->entry()).is_ok());
+
+  auto value = [](uint32_t lane) { return 0x10203040u + lane * 0x01010101u; };
+  for (uint32_t lane = 0; lane < 8; ++lane) {
+    const uint32_t word = boundary - 16 + lane * 4;
+    const uint32_t straddled = boundary2 - 30 + lane * 4;
+    const uint32_t out = 0x20000000 + lane * 4;
+    EXPECT_EQ(cycle_mem.load32(out + 32), value(lane)) << "lane " << lane;
+    const uint32_t next = lane < 7 ? value(lane + 1) : 0;
+    EXPECT_EQ(cycle_mem.load32(out), (value(lane) >> 16) | (next << 16)) << "lane " << lane;
+    EXPECT_EQ(cycle_mem.load32(straddled), value(lane)) << "lane " << lane;
+    for (uint32_t addr : {word, straddled, out, out + 32}) {
+      EXPECT_EQ(turbo_mem.load32(addr), cycle_mem.load32(addr))
+          << "lane " << lane << " at 0x" << std::hex << addr;
+    }
+  }
 }
 
 }  // namespace

@@ -15,9 +15,11 @@
 // soft-GPU benchmark fails (HLS failures are reported but expected for the
 // paper's six uncovered benchmarks — fgpu-run measures, bench/table1 judges).
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -124,7 +126,9 @@ bool parse_config(const std::string& spec, vortex::Config* config) {
     size_t digits = 0;
     uint32_t value = 0;
     while (i < spec.size() && std::isdigit(static_cast<unsigned char>(spec[i]))) {
-      value = value * 10 + static_cast<uint32_t>(spec[i++] - '0');
+      const auto digit = static_cast<uint32_t>(spec[i++] - '0');
+      if (value > (std::numeric_limits<uint32_t>::max() - digit) / 10) return false;
+      value = value * 10 + digit;
       ++digits;
     }
     if (digits == 0 || value == 0) return false;
@@ -137,6 +141,25 @@ bool parse_config(const std::string& spec, vortex::Config* config) {
   }
   if (c == 0 || w == 0 || t == 0) return false;
   *config = vortex::Config::with(c, w, t);
+  return true;
+}
+
+// Parses a numeric flag value: decimal digits only (no sign, space or
+// suffix), within [lo, hi]. Otherwise prints a message naming the flag and
+// returns false, so the caller exits 2.
+template <typename T>
+bool parse_number(const char* flag, const std::string& value, T* out, uint64_t lo = 0,
+                  uint64_t hi = std::numeric_limits<T>::max()) {
+  uint64_t n = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, n);
+  if (ec != std::errc() || ptr != end || n < lo || n > hi) {
+    std::fprintf(stderr, "fgpu-run: bad %s '%s' (expected an integer in [%llu, %llu])\n", flag,
+                 value.c_str(), static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+    return false;
+  }
+  *out = static_cast<T>(n);
   return true;
 }
 
@@ -296,15 +319,11 @@ int main(int argc, char** argv) {
     } else if (flag_value(arg, "--filter", &value)) {
       options.filter = value;
     } else if (flag_value(arg, "--jobs", &value)) {
-      options.jobs = static_cast<uint32_t>(std::stoul(value));
+      if (!parse_number("--jobs", value, &options.jobs)) return 2;
     } else if (flag_value(arg, "--seed", &value)) {
-      options.suite_seed = std::stoull(value);
+      if (!parse_number("--seed", value, &options.suite_seed)) return 2;
     } else if (flag_value(arg, "--repeat", &value)) {
-      repeat = static_cast<uint32_t>(std::stoul(value));
-      if (repeat == 0) {
-        std::fprintf(stderr, "fgpu-run: --repeat must be >= 1\n");
-        return 2;
-      }
+      if (!parse_number("--repeat", value, &repeat, 1)) return 2;
     } else if (flag_value(arg, "--host-json", &value)) {
       host_json_path = value;
     } else if (std::strcmp(arg, "--host-stats") == 0) {
@@ -341,18 +360,18 @@ int main(int argc, char** argv) {
       memprof_path = value;
       options.capture_memprof = true;
     } else if (flag_value(arg, "--mem-hotspots", &value)) {
-      mem_hotspots = static_cast<uint32_t>(std::stoul(value));
+      if (!parse_number("--mem-hotspots", value, &mem_hotspots)) return 2;
       options.capture_memprof = true;
     } else if (flag_value(arg, "--compare", &value)) {
       compare_path = value;
     } else if (flag_value(arg, "--hotspots", &value)) {
-      hotspots = static_cast<uint32_t>(std::stoul(value));
+      if (!parse_number("--hotspots", value, &hotspots)) return 2;
       options.capture_profile = true;
     } else if (flag_value(arg, "--remarks", &value)) {
       remarks_path = value;
       options.capture_remarks = true;
     } else if (flag_value(arg, "--remark-hotspots", &value)) {
-      options.remark_hotspots = static_cast<int>(std::stoul(value));
+      if (!parse_number("--remark-hotspots", value, &options.remark_hotspots)) return 2;
       options.capture_remarks = true;
       options.capture_profile = true;  // the ranking joins against cycles
     } else if (std::strcmp(arg, "--predict") == 0) {
@@ -362,9 +381,9 @@ int main(int argc, char** argv) {
     } else if (flag_value(arg, "--dse-grid", &value)) {
       dse_options.grid = value;
     } else if (flag_value(arg, "--dse-exact", &value)) {
-      dse_options.exact_budget = static_cast<size_t>(std::stoul(value));
+      if (!parse_number("--dse-exact", value, &dse_options.exact_budget)) return 2;
     } else if (flag_value(arg, "--dse-screen", &value)) {
-      dse_options.screen_budget = static_cast<size_t>(std::stoul(value));
+      if (!parse_number("--dse-screen", value, &dse_options.screen_budget)) return 2;
     } else if (flag_value(arg, "--ablate", &value)) {
       size_t start = 0;
       while (start <= value.size()) {
