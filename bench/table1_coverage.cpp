@@ -16,19 +16,6 @@
 
 using namespace fgpu;
 
-namespace {
-
-const char* paper_expected(const std::string& name) {
-  if (name == "lbm" || name == "backprop" || name == "b+tree" || name == "dwt2d" ||
-      name == "lud") {
-    return "Not enough BRAM";
-  }
-  if (name == "hybridsort") return "Atomics";
-  return "";
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   Log::level() = LogLevel::kOff;
   suite::RunnerOptions options;
@@ -61,7 +48,8 @@ int main(int argc, char** argv) {
   for (const auto& outcome : result->outcomes) {
     const auto& vx = outcome.vortex;
     const auto& hls = outcome.hls;
-    const std::string expected = paper_expected(outcome.name);
+    const char* paper_failure = suite::paper_hls_failure(outcome.name);
+    const std::string expected = paper_failure == nullptr ? "" : paper_failure;
     const bool match = vx.ok() && (hls.ok() ? expected.empty() : hls.fail_reason == expected);
     matches += match;
     printf("%-16s | %-8s | %-8s | %-18s | %-18s %s\n", outcome.name.c_str(), vx.ok() ? "O" : "X",

@@ -6,12 +6,14 @@
 #include <vector>
 
 #include "arch/isa.hpp"
+#include "arch/semantics.hpp"
 
 namespace fgpu::codegen {
 namespace {
 
 using arch::FuClass;
 using arch::Op;
+namespace sem = arch::sem;
 
 bool is_virtual(int reg) { return reg >= kFirstVirtual; }
 
@@ -74,53 +76,6 @@ int log2_u32(uint32_t v) {
     ++n;
   }
   return n;
-}
-
-// RV32 integer semantics for constant folding, including the no-trap
-// division results (x/0 == -1, x%0 == x, INT_MIN / -1 == INT_MIN).
-std::optional<int32_t> fold_int(Op op, int32_t a, int32_t b) {
-  const uint32_t ua = static_cast<uint32_t>(a);
-  const uint32_t ub = static_cast<uint32_t>(b);
-  switch (op) {
-    case Op::kAdd:
-    case Op::kAddi: return static_cast<int32_t>(ua + ub);
-    case Op::kSub: return static_cast<int32_t>(ua - ub);
-    case Op::kAnd:
-    case Op::kAndi: return a & b;
-    case Op::kOr:
-    case Op::kOri: return a | b;
-    case Op::kXor:
-    case Op::kXori: return a ^ b;
-    case Op::kSll:
-    case Op::kSlli: return static_cast<int32_t>(ua << (ub & 31u));
-    case Op::kSrl:
-    case Op::kSrli: return static_cast<int32_t>(ua >> (ub & 31u));
-    case Op::kSra:
-    case Op::kSrai: return a >> (ub & 31u);
-    case Op::kSlt:
-    case Op::kSlti: return a < b ? 1 : 0;
-    case Op::kSltu:
-    case Op::kSltiu: return ua < ub ? 1 : 0;
-    case Op::kMul:
-      return static_cast<int32_t>(
-          static_cast<uint32_t>(static_cast<int64_t>(a) * static_cast<int64_t>(b)));
-    case Op::kDiv:
-      if (b == 0) return -1;
-      if (a == INT32_MIN && b == -1) return INT32_MIN;
-      return a / b;
-    case Op::kDivu:
-      if (b == 0) return -1;  // all ones
-      return static_cast<int32_t>(ua / ub);
-    case Op::kRem:
-      if (b == 0) return a;
-      if (a == INT32_MIN && b == -1) return 0;
-      return a % b;
-    case Op::kRemu:
-      if (b == 0) return a;
-      return static_cast<int32_t>(ua % ub);
-    default:
-      return std::nullopt;
-  }
 }
 
 // Integer I-form for an R-form op (constant in rs2), if one exists.
@@ -340,7 +295,7 @@ class Peep {
     if (m.is_li || m.is_la || m.is_label() || m.target >= 0) return;
     if (is_int_imm_op(m.op)) {
       if (auto c = cval(a, m.rs1)) {
-        if (auto v = fold_int(m.op, *c, m.imm)) rewrite_to_li(m, *v);
+        if (auto v = sem::eval_int(m.op, *c, m.imm)) rewrite_to_li(m, static_cast<int32_t>(*v));
       }
       return;
     }
@@ -348,7 +303,7 @@ class Peep {
     auto c1 = cval(a, m.rs1);
     auto c2 = cval(a, m.rs2);
     if (c1 && c2) {
-      if (auto v = fold_int(m.op, *c1, *c2)) rewrite_to_li(m, *v);
+      if (auto v = sem::eval_int(m.op, *c1, *c2)) rewrite_to_li(m, static_cast<int32_t>(*v));
       return;
     }
     if (c1 && !c2 && is_commutative(m.op)) {

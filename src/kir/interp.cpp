@@ -7,10 +7,19 @@
 #include <map>
 #include <unordered_map>
 
+#include "arch/semantics.hpp"
 #include "common/bits.hpp"
 
 namespace fgpu::kir {
 namespace {
+
+namespace sem = arch::sem;
+
+// Wraps a scalar function in a lambda of its own type, so every map1/map2
+// instantiation inlines its function instead of calling through a pointer
+// shared by all functions of one signature.
+template <auto Fn>
+constexpr auto lift = [](auto... v) { return Fn(v...); };
 
 float powi_f32(float base, int32_t n) {
   const bool invert = n < 0;
@@ -674,55 +683,49 @@ const uint32_t* GroupExec::eval(uint32_t node, Lanes l) {
   const uint32_t* y = nullptr;
   if (e.b != kNone && (y = eval(e.b, l)) == nullptr) return nullptr;
   switch (e.op) {
-    case Op::kAdd: map2(l, out, x, y, [](uint32_t a, uint32_t b) { return a + b; }); break;
-    case Op::kSub: map2(l, out, x, y, [](uint32_t a, uint32_t b) { return a - b; }); break;
-    case Op::kMul: map2(l, out, x, y, [](uint32_t a, uint32_t b) { return a * b; }); break;
-    case Op::kDiv: map2i(l, out, x, y, div_i32); break;
-    case Op::kRem: map2i(l, out, x, y, rem_i32); break;
-    case Op::kAnd: map2(l, out, x, y, [](uint32_t a, uint32_t b) { return a & b; }); break;
-    case Op::kOr: map2(l, out, x, y, [](uint32_t a, uint32_t b) { return a | b; }); break;
-    case Op::kXor: map2(l, out, x, y, [](uint32_t a, uint32_t b) { return a ^ b; }); break;
-    case Op::kShl: map2(l, out, x, y, [](uint32_t a, uint32_t b) { return a << (b & 31); }); break;
-    case Op::kShr: map2i(l, out, x, y, [](int32_t a, int32_t b) { return a >> (b & 31); }); break;
-    case Op::kMin: map2i(l, out, x, y, [](int32_t a, int32_t b) { return std::min(a, b); }); break;
-    case Op::kMax: map2i(l, out, x, y, [](int32_t a, int32_t b) { return std::max(a, b); }); break;
-    case Op::kLt: map2i(l, out, x, y, [](int32_t a, int32_t b) { return a < b; }); break;
+    case Op::kAdd: map2(l, out, x, y, lift<sem::add>); break;
+    case Op::kSub: map2(l, out, x, y, lift<sem::sub>); break;
+    case Op::kMul: map2(l, out, x, y, lift<sem::mul>); break;
+    case Op::kDiv: map2(l, out, x, y, lift<sem::div>); break;
+    case Op::kRem: map2(l, out, x, y, lift<sem::rem>); break;
+    case Op::kAnd: map2(l, out, x, y, lift<sem::and_>); break;
+    case Op::kOr: map2(l, out, x, y, lift<sem::or_>); break;
+    case Op::kXor: map2(l, out, x, y, lift<sem::xor_>); break;
+    case Op::kShl: map2(l, out, x, y, lift<sem::sll>); break;
+    case Op::kShr: map2(l, out, x, y, lift<sem::sra>); break;
+    case Op::kMin: map2(l, out, x, y, lift<sem::min>); break;
+    case Op::kMax: map2(l, out, x, y, lift<sem::max>); break;
+    case Op::kLt: map2(l, out, x, y, lift<sem::slt>); break;
     case Op::kLe: map2i(l, out, x, y, [](int32_t a, int32_t b) { return a <= b; }); break;
-    case Op::kGt: map2i(l, out, x, y, [](int32_t a, int32_t b) { return a > b; }); break;
+    case Op::kGt: map2(l, out, x, y, [](uint32_t a, uint32_t b) { return sem::slt(b, a); }); break;
     case Op::kGe: map2i(l, out, x, y, [](int32_t a, int32_t b) { return a >= b; }); break;
     case Op::kEq: map2i(l, out, x, y, [](int32_t a, int32_t b) { return a == b; }); break;
     case Op::kNe: map2i(l, out, x, y, [](int32_t a, int32_t b) { return a != b; }); break;
-    case Op::kFAdd: map2f(l, out, x, y, [](float a, float b) { return f2u(a + b); }); break;
-    case Op::kFSub: map2f(l, out, x, y, [](float a, float b) { return f2u(a - b); }); break;
-    case Op::kFMul: map2f(l, out, x, y, [](float a, float b) { return f2u(a * b); }); break;
-    case Op::kFDiv: map2f(l, out, x, y, [](float a, float b) { return f2u(a / b); }); break;
-    case Op::kFMin:
-      map2f(l, out, x, y, [](float a, float b) { return f2u(std::fmin(a, b)); });
-      break;
-    case Op::kFMax:
-      map2f(l, out, x, y, [](float a, float b) { return f2u(std::fmax(a, b)); });
-      break;
-    case Op::kFLt: map2f(l, out, x, y, [](float a, float b) -> uint32_t { return a < b; }); break;
-    case Op::kFLe: map2f(l, out, x, y, [](float a, float b) -> uint32_t { return a <= b; }); break;
-    case Op::kFGt: map2f(l, out, x, y, [](float a, float b) -> uint32_t { return a > b; }); break;
-    case Op::kFGe: map2f(l, out, x, y, [](float a, float b) -> uint32_t { return a >= b; }); break;
-    case Op::kFEq: map2f(l, out, x, y, [](float a, float b) -> uint32_t { return a == b; }); break;
+    case Op::kFAdd: map2(l, out, x, y, lift<sem::fadd>); break;
+    case Op::kFSub: map2(l, out, x, y, lift<sem::fsub>); break;
+    case Op::kFMul: map2(l, out, x, y, lift<sem::fmul>); break;
+    case Op::kFDiv: map2(l, out, x, y, lift<sem::fdiv>); break;
+    case Op::kFMin: map2(l, out, x, y, lift<sem::fmin>); break;
+    case Op::kFMax: map2(l, out, x, y, lift<sem::fmax>); break;
+    case Op::kFLt: map2(l, out, x, y, lift<sem::flt>); break;
+    case Op::kFLe: map2(l, out, x, y, lift<sem::fle>); break;
+    case Op::kFGt: map2(l, out, x, y, [](uint32_t a, uint32_t b) { return sem::flt(b, a); }); break;
+    case Op::kFGe: map2(l, out, x, y, [](uint32_t a, uint32_t b) { return sem::fle(b, a); }); break;
+    case Op::kFEq: map2(l, out, x, y, lift<sem::feq>); break;
     case Op::kFNe: map2f(l, out, x, y, [](float a, float b) -> uint32_t { return a != b; }); break;
     case Op::kFInvalid:
       return fail("invalid float binary op");
-    case Op::kNeg: map1(l, out, x, [](uint32_t a) { return 0u - a; }); break;
-    case Op::kFNeg: map1(l, out, x, [](uint32_t a) { return f2u(-u2f(a)); }); break;
+    case Op::kNeg: map1(l, out, x, [](uint32_t a) { return sem::sub(0, a); }); break;
+    case Op::kFNeg: map1(l, out, x, [](uint32_t a) { return sem::fsgnjn(a, a); }); break;
     case Op::kNot: map1(l, out, x, [](uint32_t a) { return a == 0 ? 1u : 0u; }); break;
     case Op::kAbs:
       map1(l, out, x, [](uint32_t a) { return static_cast<int32_t>(a) < 0 ? 0u - a : a; });
       break;
-    case Op::kFAbs: map1(l, out, x, [](uint32_t a) { return a & 0x7FFFFFFFu; }); break;
+    case Op::kFAbs: map1(l, out, x, [](uint32_t a) { return sem::fsgnjx(a, a); }); break;
     case Op::kBitcast: map1(l, out, x, [](uint32_t a) { return a; }); break;
-    case Op::kI2F:
-      map1(l, out, x, [](uint32_t a) { return f2u(static_cast<float>(static_cast<int32_t>(a))); });
-      break;
-    case Op::kF2I: map1(l, out, x, f2i_bits); break;
-    case Op::kSqrt: map1(l, out, x, [](uint32_t a) { return f2u(std::sqrt(u2f(a))); }); break;
+    case Op::kI2F: map1(l, out, x, lift<sem::fcvt_s_w>); break;
+    case Op::kF2I: map1(l, out, x, lift<sem::fcvt_w_s>); break;
+    case Op::kSqrt: map1(l, out, x, lift<sem::fsqrt>); break;
     case Op::kRsqrt:
       map1(l, out, x, [](uint32_t a) { return f2u(1.0f / std::sqrt(u2f(a))); });
       break;

@@ -26,10 +26,8 @@
 // single-lane lists, so they cost O(nodes) per item.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -38,30 +36,6 @@
 #include "kir/kir.hpp"
 
 namespace fgpu::kir {
-
-// Scalar semantics the interpreter evaluates with and const_fold folds
-// with, so folded and unfolded kernels agree with the soft-GPU binary bit
-// for bit. Division follows RISC-V's no-trap rules: x / 0 == -1,
-// x % 0 == x, INT_MIN / -1 == INT_MIN, INT_MIN % -1 == 0.
-inline int32_t div_i32(int32_t a, int32_t b) {
-  if (b == 0) return -1;
-  if (a == std::numeric_limits<int32_t>::min() && b == -1) return a;
-  return a / b;
-}
-inline int32_t rem_i32(int32_t a, int32_t b) {
-  if (b == 0) return a;
-  if (a == std::numeric_limits<int32_t>::min() && b == -1) return 0;
-  return a % b;
-}
-
-// fcvt.w.s: truncation with clamping, NaN -> INT_MAX.
-inline uint32_t f2i_bits(uint32_t a) {
-  const float f = u2f(a);
-  if (std::isnan(f)) return 0x7FFFFFFFu;
-  if (f <= -2147483648.0f) return 0x80000000u;
-  if (f >= 2147483648.0f) return 0x7FFFFFFFu;
-  return static_cast<uint32_t>(static_cast<int32_t>(f));
-}
 
 struct KernelArg {
   bool is_buffer = false;

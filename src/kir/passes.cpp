@@ -1,15 +1,16 @@
 #include "kir/passes.hpp"
 
-#include <cmath>
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "arch/semantics.hpp"
 #include "common/bits.hpp"
 #include "kir/build.hpp"
-#include "kir/interp.hpp"
 
 namespace fgpu::kir {
+
+namespace sem = arch::sem;
 
 namespace {
 
@@ -208,50 +209,52 @@ bool is_const(const ExprPtr& e) {
   return e->kind == ExprKind::kConstInt || e->kind == ExprKind::kConstFloat;
 }
 
-// Folds with the interpreter's own semantics: integer + - * and negation
-// wrap mod 2^32, division and float->int conversion go through the same
-// scalar functions the interpreter runs (interp.hpp).
+// Folds with the semantics every executor runs (arch/semantics.hpp), so a
+// folded kernel computes what the unfolded one would: integer arithmetic
+// wraps mod 2^32, division follows the no-trap rules, float->int
+// conversion saturates.
 ExprPtr fold_expr(const ExprPtr& e, int& count) {
   const ExprPtr node = rebuild_args(e, [&](const ExprPtr& arg) { return fold_expr(arg, count); });
   const auto wrap = [](uint32_t v) { return make_ci32(static_cast<int32_t>(v)); };
+  const auto wrap_f = [](uint32_t v) { return make_cf32(u2f(v)); };
 
   if (node->kind == ExprKind::kBinary && is_const(node->a()) && is_const(node->b())) {
     const ExprPtr &a = node->a(), &b = node->b();
     ++count;
     if (a->type == Scalar::kF32) {
-      const float x = a->fval, y = b->fval;
+      const uint32_t x = f2u(a->fval), y = f2u(b->fval);
       switch (node->bin) {
-        case BinOp::kAdd: return make_cf32(x + y);
-        case BinOp::kSub: return make_cf32(x - y);
-        case BinOp::kMul: return make_cf32(x * y);
-        case BinOp::kDiv: return make_cf32(x / y);
-        case BinOp::kMin: return make_cf32(std::fmin(x, y));
-        case BinOp::kMax: return make_cf32(std::fmax(x, y));
-        case BinOp::kLt: return make_ci32(x < y);
-        case BinOp::kLe: return make_ci32(x <= y);
-        case BinOp::kGt: return make_ci32(x > y);
-        case BinOp::kGe: return make_ci32(x >= y);
-        case BinOp::kEq: return make_ci32(x == y);
-        case BinOp::kNe: return make_ci32(x != y);
+        case BinOp::kAdd: return wrap_f(sem::fadd(x, y));
+        case BinOp::kSub: return wrap_f(sem::fsub(x, y));
+        case BinOp::kMul: return wrap_f(sem::fmul(x, y));
+        case BinOp::kDiv: return wrap_f(sem::fdiv(x, y));
+        case BinOp::kMin: return wrap_f(sem::fmin(x, y));
+        case BinOp::kMax: return wrap_f(sem::fmax(x, y));
+        case BinOp::kLt: return wrap(sem::flt(x, y));
+        case BinOp::kLe: return wrap(sem::fle(x, y));
+        case BinOp::kGt: return wrap(sem::flt(y, x));
+        case BinOp::kGe: return wrap(sem::fle(y, x));
+        case BinOp::kEq: return wrap(sem::feq(x, y));
+        case BinOp::kNe: return make_ci32(a->fval != b->fval);
         default: --count; break;
       }
     } else {
       const int32_t x = a->ival, y = b->ival;
       const uint32_t ux = static_cast<uint32_t>(x), uy = static_cast<uint32_t>(y);
       switch (node->bin) {
-        case BinOp::kAdd: return wrap(ux + uy);
-        case BinOp::kSub: return wrap(ux - uy);
-        case BinOp::kMul: return wrap(ux * uy);
-        case BinOp::kAnd: return make_ci32(x & y);
-        case BinOp::kOr: return make_ci32(x | y);
-        case BinOp::kXor: return make_ci32(x ^ y);
-        case BinOp::kShl: return wrap(ux << (uy & 31));
-        case BinOp::kShr: return make_ci32(x >> (y & 31));
-        case BinOp::kMin: return make_ci32(std::min(x, y));
-        case BinOp::kMax: return make_ci32(std::max(x, y));
-        case BinOp::kLt: return make_ci32(x < y);
+        case BinOp::kAdd: return wrap(sem::add(ux, uy));
+        case BinOp::kSub: return wrap(sem::sub(ux, uy));
+        case BinOp::kMul: return wrap(sem::mul(ux, uy));
+        case BinOp::kAnd: return wrap(sem::and_(ux, uy));
+        case BinOp::kOr: return wrap(sem::or_(ux, uy));
+        case BinOp::kXor: return wrap(sem::xor_(ux, uy));
+        case BinOp::kShl: return wrap(sem::sll(ux, uy));
+        case BinOp::kShr: return wrap(sem::sra(ux, uy));
+        case BinOp::kMin: return wrap(sem::min(ux, uy));
+        case BinOp::kMax: return wrap(sem::max(ux, uy));
+        case BinOp::kLt: return wrap(sem::slt(ux, uy));
         case BinOp::kLe: return make_ci32(x <= y);
-        case BinOp::kGt: return make_ci32(x > y);
+        case BinOp::kGt: return wrap(sem::slt(uy, ux));
         case BinOp::kGe: return make_ci32(x >= y);
         case BinOp::kEq: return make_ci32(x == y);
         case BinOp::kNe: return make_ci32(x != y);
@@ -260,11 +263,11 @@ ExprPtr fold_expr(const ExprPtr& e, int& count) {
         // A constant zero divisor is left unfolded; it runs with the same
         // no-trap result.
         case BinOp::kDiv:
-          if (y != 0) return make_ci32(div_i32(x, y));
+          if (y != 0) return wrap(sem::div(ux, uy));
           --count;
           break;
         case BinOp::kRem:
-          if (y != 0) return make_ci32(rem_i32(x, y));
+          if (y != 0) return wrap(sem::rem(ux, uy));
           --count;
           break;
       }
@@ -292,8 +295,10 @@ ExprPtr fold_expr(const ExprPtr& e, int& count) {
   }
   if (node->kind == ExprKind::kCast && is_const(node->a())) {
     ++count;
-    if (node->type == Scalar::kF32) return make_cf32(static_cast<float>(node->a()->ival));
-    return wrap(f2i_bits(f2u(node->a()->fval)));
+    if (node->type == Scalar::kF32) {
+      return wrap_f(sem::fcvt_s_w(static_cast<uint32_t>(node->a()->ival)));
+    }
+    return wrap(sem::fcvt_w_s(f2u(node->a()->fval)));
   }
   if (node->kind == ExprKind::kUnary && is_const(node->a())) {
     const ExprPtr& a = node->a();
@@ -301,11 +306,12 @@ ExprPtr fold_expr(const ExprPtr& e, int& count) {
     switch (node->un) {
       case UnOp::kNeg:
         ++count;
-        return a->type == Scalar::kF32 ? make_cf32(-a->fval) : wrap(0u - ua);
+        return a->type == Scalar::kF32 ? wrap_f(sem::fsgnjn(f2u(a->fval), f2u(a->fval)))
+                                       : wrap(sem::sub(0, ua));
       case UnOp::kNot: ++count; return make_ci32(a->ival == 0);
       case UnOp::kAbs:
         ++count;
-        return a->type == Scalar::kF32 ? make_cf32(std::fabs(a->fval))
+        return a->type == Scalar::kF32 ? wrap_f(sem::fsgnjx(f2u(a->fval), f2u(a->fval)))
                                        : wrap(a->ival < 0 ? 0u - ua : ua);
       default:
         break;

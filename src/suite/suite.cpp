@@ -52,6 +52,15 @@ const std::vector<std::string>& all_benchmark_names() {
   return names;
 }
 
+const char* paper_hls_failure(const std::string& name) {
+  if (name == "lbm" || name == "backprop" || name == "b+tree" || name == "dwt2d" ||
+      name == "lud") {
+    return "Not enough BRAM";
+  }
+  if (name == "hybridsort") return "Atomics";
+  return nullptr;
+}
+
 Benchmark make_benchmark(const std::string& name) {
   using Factory = Benchmark (*)();
   static const std::unordered_map<std::string, Factory> factories = {

@@ -73,6 +73,11 @@ const std::vector<std::string>& all_benchmark_names();
 // Builds a benchmark instance (deterministic: same name -> same workload).
 Benchmark make_benchmark(const std::string& name);
 
+// Table I's HLS column as the paper reports it: why the paper's HLS flow
+// fails `name` ("Not enough BRAM" or "Atomics"), or nullptr when it runs.
+// The paper's soft GPU runs all 28.
+const char* paper_hls_failure(const std::string& name);
+
 // Process-wide cache of generated benchmarks. Factories are deterministic
 // (fixed internal seeds: same name -> same module, buffers and launch
 // plan), benchmarks are never mutated after construction, and run_benchmark

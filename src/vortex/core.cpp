@@ -2,20 +2,20 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 
 #include "common/bits.hpp"
 #include "common/log.hpp"
 #include "trace/trace.hpp"
+#include "vortex/lanes.hpp"
 
 namespace fgpu::vortex {
 namespace {
 
 using arch::Instr;
 using arch::Op;
+using arch::sem::Opd;
 
 constexpr int kStallNone = 0, kStallScoreboard = 1, kStallLsu = 2, kStallFu = 3;
 
@@ -30,22 +30,6 @@ constexpr uint64_t kIdSlotMask = (1ull << kIdSlotBits) - 1;
 // decode (kernels are tiny; this only guards runaway PCs from growing the
 // cache unboundedly).
 constexpr uint32_t kDecodeCacheMaxWords = 1u << 20;
-
-int32_t as_i32(uint32_t v) { return static_cast<int32_t>(v); }
-
-uint32_t fcvt_w_s(float f, bool is_unsigned) {
-  if (std::isnan(f)) {
-    return is_unsigned ? 0xFFFFFFFFu : 0x7FFFFFFFu;
-  }
-  if (is_unsigned) {
-    if (f <= -1.0f) return 0;
-    if (f >= 4294967296.0f) return 0xFFFFFFFFu;
-    return static_cast<uint32_t>(f);
-  }
-  if (f <= -2147483648.0f) return 0x80000000u;
-  if (f >= 2147483648.0f) return 0x7FFFFFFFu;
-  return static_cast<uint32_t>(static_cast<int32_t>(f));
-}
 
 }  // namespace
 
@@ -176,17 +160,10 @@ bool Core::busy() const {
 }
 
 uint32_t Core::xreg(uint32_t warp, uint32_t lane, uint32_t index) const {
-  return xregs_[(warp * config_.threads + lane) * 32 + index];
+  return xregs_[(warp * 32 + index) * config_.threads + lane];
 }
 uint32_t Core::freg_bits(uint32_t warp, uint32_t lane, uint32_t index) const {
-  return fregs_[(warp * config_.threads + lane) * 32 + index];
-}
-
-uint32_t Core::first_active_lane(uint64_t mask) const {
-  for (uint32_t lane = 0; lane < config_.threads; ++lane) {
-    if (mask & (1ull << lane)) return lane;
-  }
-  return 0;
+  return fregs_[(warp * 32 + index) * config_.threads + lane];
 }
 
 uint32_t Core::read_csr(uint32_t csr, uint32_t warp_id, uint32_t lane, uint64_t cycle) const {
@@ -539,202 +516,42 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
     completions_min_ready_ = std::min(completions_min_ready_, cycle + info.latency);
   };
 
-  // This warp's registers, indexed (lane, reg). The lane count and register
-  // bases are hoisted into locals: each lane's result is stored through a
-  // uint32_t*, which may alias config_.threads, so reading them through
-  // `this` would reload both on every lane.
+  // This warp's register rows (register-major, see vortex/lanes.hpp). The
+  // lane count and bases are hoisted into locals: each lane's result is
+  // stored through a uint32_t*, which may alias config_.threads, so reading
+  // them through `this` would reload both on every lane.
   const uint32_t threads = config_.threads;
-  uint32_t* const xbase = xregs_.data() + static_cast<size_t>(w) * threads * 32;
-  uint32_t* const fbase = fregs_.data() + static_cast<size_t>(w) * threads * 32;
-  auto xw = [xbase](uint32_t lane, uint32_t reg) -> uint32_t& { return xbase[lane * 32 + reg]; };
-  auto fw = [fbase](uint32_t lane, uint32_t reg) -> uint32_t& { return fbase[lane * 32 + reg]; };
-  auto for_lanes = [&](auto&& fn) {
-    for (uint32_t lane = 0; lane < threads; ++lane) {
-      if (mask & (1ull << lane)) fn(lane);
-    }
+  uint32_t* const xbase = xregs_.data() + static_cast<size_t>(w) * 32 * threads;
+  uint32_t* const fbase = fregs_.data() + static_cast<size_t>(w) * 32 * threads;
+  auto xw = [xbase, threads](uint32_t lane, uint32_t reg) -> uint32_t& {
+    return xbase[reg * threads + lane];
   };
+  const uint32_t lane0 = first_lane(mask);
 
   switch (in.op) {
-    // ---------------- ALU ----------------
-    case Op::kLui:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = static_cast<uint32_t>(in.imm) << 12; });
-      schedule_rd(false);
+    // ---------------- ALU / MUL-DIV / FPU ----------------
+    // Values from the shared semantics table; only the scoreboard is ours.
+#define FGPU_CORE_EXEC(OP, FN, RD, S1, S2, S3)                                          \
+    case Op::k##OP:                                                                     \
+      exec_lanes<arch::sem::FN, Opd::RD, Opd::S1, Opd::S2, Opd::S3>(xbase, fbase, threads, \
+                                                                   mask, in, pc);        \
+      schedule_rd(Opd::RD == Opd::F);                                                    \
       break;
-    case Op::kAuipc:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = pc + (static_cast<uint32_t>(in.imm) << 12); });
-      schedule_rd(false);
-      break;
-    case Op::kAddi:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) + static_cast<uint32_t>(in.imm); });
-      schedule_rd(false);
-      break;
-    case Op::kSlti:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = as_i32(xw(l, in.rs1)) < in.imm ? 1 : 0; });
-      schedule_rd(false);
-      break;
-    case Op::kSltiu:
-      for_lanes([&](uint32_t l) {
-        xw(l, in.rd) = xw(l, in.rs1) < static_cast<uint32_t>(in.imm) ? 1 : 0;
-      });
-      schedule_rd(false);
-      break;
-    case Op::kXori:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) ^ static_cast<uint32_t>(in.imm); });
-      schedule_rd(false);
-      break;
-    case Op::kOri:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) | static_cast<uint32_t>(in.imm); });
-      schedule_rd(false);
-      break;
-    case Op::kAndi:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) & static_cast<uint32_t>(in.imm); });
-      schedule_rd(false);
-      break;
-    case Op::kSlli:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) << in.imm; });
-      schedule_rd(false);
-      break;
-    case Op::kSrli:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) >> in.imm; });
-      schedule_rd(false);
-      break;
-    case Op::kSrai:
-      for_lanes([&](uint32_t l) {
-        xw(l, in.rd) = static_cast<uint32_t>(as_i32(xw(l, in.rs1)) >> in.imm);
-      });
-      schedule_rd(false);
-      break;
-    case Op::kAdd:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) + xw(l, in.rs2); });
-      schedule_rd(false);
-      break;
-    case Op::kSub:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) - xw(l, in.rs2); });
-      schedule_rd(false);
-      break;
-    case Op::kSll:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) << (xw(l, in.rs2) & 31); });
-      schedule_rd(false);
-      break;
-    case Op::kSlt:
-      for_lanes([&](uint32_t l) {
-        xw(l, in.rd) = as_i32(xw(l, in.rs1)) < as_i32(xw(l, in.rs2)) ? 1 : 0;
-      });
-      schedule_rd(false);
-      break;
-    case Op::kSltu:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) < xw(l, in.rs2) ? 1 : 0; });
-      schedule_rd(false);
-      break;
-    case Op::kXor:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) ^ xw(l, in.rs2); });
-      schedule_rd(false);
-      break;
-    case Op::kSrl:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) >> (xw(l, in.rs2) & 31); });
-      schedule_rd(false);
-      break;
-    case Op::kSra:
-      for_lanes([&](uint32_t l) {
-        xw(l, in.rd) = static_cast<uint32_t>(as_i32(xw(l, in.rs1)) >> (xw(l, in.rs2) & 31));
-      });
-      schedule_rd(false);
-      break;
-    case Op::kOr:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) | xw(l, in.rs2); });
-      schedule_rd(false);
-      break;
-    case Op::kAnd:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) & xw(l, in.rs2); });
-      schedule_rd(false);
-      break;
-    // ---------------- MUL/DIV ----------------
-    case Op::kMul:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = xw(l, in.rs1) * xw(l, in.rs2); });
-      schedule_rd(false);
-      break;
-    case Op::kMulh:
-      for_lanes([&](uint32_t l) {
-        const int64_t p = static_cast<int64_t>(as_i32(xw(l, in.rs1))) *
-                          static_cast<int64_t>(as_i32(xw(l, in.rs2)));
-        xw(l, in.rd) = static_cast<uint32_t>(static_cast<uint64_t>(p) >> 32);
-      });
-      schedule_rd(false);
-      break;
-    case Op::kMulhsu:
-      for_lanes([&](uint32_t l) {
-        const int64_t p = static_cast<int64_t>(as_i32(xw(l, in.rs1))) *
-                          static_cast<int64_t>(static_cast<uint64_t>(xw(l, in.rs2)));
-        xw(l, in.rd) = static_cast<uint32_t>(static_cast<uint64_t>(p) >> 32);
-      });
-      schedule_rd(false);
-      break;
-    case Op::kMulhu:
-      for_lanes([&](uint32_t l) {
-        const uint64_t p =
-            static_cast<uint64_t>(xw(l, in.rs1)) * static_cast<uint64_t>(xw(l, in.rs2));
-        xw(l, in.rd) = static_cast<uint32_t>(p >> 32);
-      });
-      schedule_rd(false);
-      break;
-    case Op::kDiv:
-      for_lanes([&](uint32_t l) {
-        const int32_t a = as_i32(xw(l, in.rs1)), b = as_i32(xw(l, in.rs2));
-        int32_t r;
-        if (b == 0) {
-          r = -1;
-        } else if (a == std::numeric_limits<int32_t>::min() && b == -1) {
-          r = a;
-        } else {
-          r = a / b;
-        }
-        xw(l, in.rd) = static_cast<uint32_t>(r);
-      });
-      schedule_rd(false);
-      break;
-    case Op::kDivu:
-      for_lanes([&](uint32_t l) {
-        const uint32_t a = xw(l, in.rs1), b = xw(l, in.rs2);
-        xw(l, in.rd) = b == 0 ? 0xFFFFFFFFu : a / b;
-      });
-      schedule_rd(false);
-      break;
-    case Op::kRem:
-      for_lanes([&](uint32_t l) {
-        const int32_t a = as_i32(xw(l, in.rs1)), b = as_i32(xw(l, in.rs2));
-        int32_t r;
-        if (b == 0) {
-          r = a;
-        } else if (a == std::numeric_limits<int32_t>::min() && b == -1) {
-          r = 0;
-        } else {
-          r = a % b;
-        }
-        xw(l, in.rd) = static_cast<uint32_t>(r);
-      });
-      schedule_rd(false);
-      break;
-    case Op::kRemu:
-      for_lanes([&](uint32_t l) {
-        const uint32_t a = xw(l, in.rs1), b = xw(l, in.rs2);
-        xw(l, in.rd) = b == 0 ? a : a % b;
-      });
-      schedule_rd(false);
-      break;
+    FGPU_SEM_OPS(FGPU_CORE_EXEC)
+#undef FGPU_CORE_EXEC
     // ---------------- control flow ----------------
     case Op::kJal:
       if (in.rd != 0) {
-        for_lanes([&](uint32_t l) { xw(l, in.rd) = pc + 4; });
+        for_lanes(mask, threads, [&](uint32_t l) { xw(l, in.rd) = pc + 4; });
         schedule_rd(false);
       }
       ++perf_.branches;
       redirect(warp, pc + static_cast<uint32_t>(in.imm));
       break;
     case Op::kJalr: {
-      const uint32_t target =
-          (xw(first_active_lane(mask), in.rs1) + static_cast<uint32_t>(in.imm)) & ~1u;
+      const uint32_t target = (xw(lane0, in.rs1) + static_cast<uint32_t>(in.imm)) & ~1u;
       if (in.rd != 0) {
-        for_lanes([&](uint32_t l) { xw(l, in.rd) = pc + 4; });
+        for_lanes(mask, threads, [&](uint32_t l) { xw(l, in.rd) = pc + 4; });
         schedule_rd(false);
       }
       ++perf_.branches;
@@ -746,35 +563,24 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
     case Op::kBlt:
     case Op::kBge:
     case Op::kBltu:
-    case Op::kBgeu: {
-      const uint32_t lane = first_active_lane(mask);
-      const uint32_t a = xw(lane, in.rs1), b = xw(lane, in.rs2);
-      bool taken = false;
-      switch (in.op) {
-        case Op::kBeq: taken = a == b; break;
-        case Op::kBne: taken = a != b; break;
-        case Op::kBlt: taken = as_i32(a) < as_i32(b); break;
-        case Op::kBge: taken = as_i32(a) >= as_i32(b); break;
-        case Op::kBltu: taken = a < b; break;
-        case Op::kBgeu: taken = a >= b; break;
-        default: break;
-      }
+    case Op::kBgeu:
       ++perf_.branches;
-      if (taken) redirect(warp, pc + static_cast<uint32_t>(in.imm));
+      if (arch::sem::branch_taken(in.op, xw(lane0, in.rs1), xw(lane0, in.rs2))) {
+        redirect(warp, pc + static_cast<uint32_t>(in.imm));
+      }
       break;
-    }
     // ---------------- CSR / system ----------------
     case Op::kCsrrw:
     case Op::kCsrrs:
     case Op::kCsrrc:
       // Machine-information CSRs are read-only; writes are ignored.
-      for_lanes([&](uint32_t l) {
+      for_lanes(mask, threads, [&](uint32_t l) {
         if (in.rd != 0) xw(l, in.rd) = read_csr(static_cast<uint32_t>(in.imm), w, l, cycle);
       });
       schedule_rd(false);
       break;
     case Op::kEcall:
-      for_lanes([&](uint32_t l) {
+      for_lanes(mask, threads, [&](uint32_t l) {
         if (ecall_handler_) {
           ecall_handler_(EcallRequest{core_id_, w, l, xw(l, 17), xw(l, 10)}, gmem_);
         }
@@ -785,7 +591,7 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
     // ---------------- SIMT control ----------------
     case Op::kTmc: {
       const uint64_t full = (config_.threads >= 64) ? ~0ull : ((1ull << config_.threads) - 1);
-      const uint64_t value = xw(first_active_lane(mask), in.rs1) & full;
+      const uint64_t value = xw(lane0, in.rs1) & full;
       warp.tmask = value;
       if (value == 0) {
         warp.active = false;
@@ -794,9 +600,8 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
       break;
     }
     case Op::kWspawn: {
-      const uint32_t lane = first_active_lane(mask);
-      const uint32_t count = std::min(xw(lane, in.rs1), config_.warps);
-      const uint32_t target = xw(lane, in.rs2);
+      const uint32_t count = std::min(xw(lane0, in.rs1), config_.warps);
+      const uint32_t target = xw(lane0, in.rs2);
       uint32_t spawned_now = 0;
       for (uint32_t i = 1; i < count; ++i) {
         Warp& spawned = warps_[i];
@@ -814,7 +619,7 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
     }
     case Op::kSplit: {
       uint64_t taken = 0;
-      for_lanes([&](uint32_t l) {
+      for_lanes(mask, threads, [&](uint32_t l) {
         if (xw(l, in.rs1) != 0) taken |= (1ull << l);
       });
       const uint64_t nottaken = mask & ~taken;
@@ -858,7 +663,7 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
     }
     case Op::kPred: {
       uint64_t alive = 0;
-      for_lanes([&](uint32_t l) {
+      for_lanes(mask, threads, [&](uint32_t l) {
         if (xw(l, in.rs1) != 0) alive |= (1ull << l);
       });
       ++perf_.branches;
@@ -870,158 +675,8 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
       }
       break;
     }
-    case Op::kBar: {
-      const uint32_t lane = first_active_lane(mask);
-      barrier_arrive(w, xw(lane, in.rs1) & 31, xw(lane, in.rs2), cycle);
-      break;
-    }
-    // ---------------- FPU ----------------
-    case Op::kFaddS:
-      for_lanes([&](uint32_t l) {
-        fw(l, in.rd) = f2u(u2f(fw(l, in.rs1)) + u2f(fw(l, in.rs2)));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFsubS:
-      for_lanes([&](uint32_t l) {
-        fw(l, in.rd) = f2u(u2f(fw(l, in.rs1)) - u2f(fw(l, in.rs2)));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFmulS:
-      for_lanes([&](uint32_t l) {
-        fw(l, in.rd) = f2u(u2f(fw(l, in.rs1)) * u2f(fw(l, in.rs2)));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFdivS:
-      for_lanes([&](uint32_t l) {
-        fw(l, in.rd) = f2u(u2f(fw(l, in.rs1)) / u2f(fw(l, in.rs2)));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFsqrtS:
-      for_lanes([&](uint32_t l) { fw(l, in.rd) = f2u(std::sqrt(u2f(fw(l, in.rs1)))); });
-      schedule_rd(true);
-      break;
-    case Op::kFsgnjS:
-      for_lanes([&](uint32_t l) {
-        fw(l, in.rd) = (fw(l, in.rs1) & 0x7FFFFFFFu) | (fw(l, in.rs2) & 0x80000000u);
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFsgnjnS:
-      for_lanes([&](uint32_t l) {
-        fw(l, in.rd) = (fw(l, in.rs1) & 0x7FFFFFFFu) | (~fw(l, in.rs2) & 0x80000000u);
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFsgnjxS:
-      for_lanes([&](uint32_t l) {
-        fw(l, in.rd) = fw(l, in.rs1) ^ (fw(l, in.rs2) & 0x80000000u);
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFminS:
-      for_lanes([&](uint32_t l) {
-        fw(l, in.rd) = f2u(std::fmin(u2f(fw(l, in.rs1)), u2f(fw(l, in.rs2))));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFmaxS:
-      for_lanes([&](uint32_t l) {
-        fw(l, in.rd) = f2u(std::fmax(u2f(fw(l, in.rs1)), u2f(fw(l, in.rs2))));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFcvtWS:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = fcvt_w_s(u2f(fw(l, in.rs1)), false); });
-      schedule_rd(false);
-      break;
-    case Op::kFcvtWuS:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = fcvt_w_s(u2f(fw(l, in.rs1)), true); });
-      schedule_rd(false);
-      break;
-    case Op::kFcvtSW:
-      for_lanes([&](uint32_t l) {
-        fw(l, in.rd) = f2u(static_cast<float>(as_i32(xw(l, in.rs1))));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFcvtSWu:
-      for_lanes([&](uint32_t l) { fw(l, in.rd) = f2u(static_cast<float>(xw(l, in.rs1))); });
-      schedule_rd(true);
-      break;
-    case Op::kFmvXW:
-      for_lanes([&](uint32_t l) { xw(l, in.rd) = fw(l, in.rs1); });
-      schedule_rd(false);
-      break;
-    case Op::kFmvWX:
-      for_lanes([&](uint32_t l) { fw(l, in.rd) = xw(l, in.rs1); });
-      schedule_rd(true);
-      break;
-    case Op::kFclassS:
-      for_lanes([&](uint32_t l) {
-        const float f = u2f(fw(l, in.rs1));
-        uint32_t cls = 0;
-        if (std::isnan(f)) {
-          cls = 1u << 9;  // quiet NaN (we do not distinguish signalling)
-        } else if (std::isinf(f)) {
-          cls = f < 0 ? 1u << 0 : 1u << 7;
-        } else if (f == 0.0f) {
-          cls = std::signbit(f) ? 1u << 3 : 1u << 4;
-        } else if (std::fpclassify(f) == FP_SUBNORMAL) {
-          cls = f < 0 ? 1u << 2 : 1u << 5;
-        } else {
-          cls = f < 0 ? 1u << 1 : 1u << 6;
-        }
-        xw(l, in.rd) = cls;
-      });
-      schedule_rd(false);
-      break;
-    case Op::kFeqS:
-      for_lanes([&](uint32_t l) {
-        xw(l, in.rd) = u2f(fw(l, in.rs1)) == u2f(fw(l, in.rs2)) ? 1 : 0;
-      });
-      schedule_rd(false);
-      break;
-    case Op::kFltS:
-      for_lanes([&](uint32_t l) {
-        xw(l, in.rd) = u2f(fw(l, in.rs1)) < u2f(fw(l, in.rs2)) ? 1 : 0;
-      });
-      schedule_rd(false);
-      break;
-    case Op::kFleS:
-      for_lanes([&](uint32_t l) {
-        xw(l, in.rd) = u2f(fw(l, in.rs1)) <= u2f(fw(l, in.rs2)) ? 1 : 0;
-      });
-      schedule_rd(false);
-      break;
-    case Op::kFmaddS:
-      for_lanes([&](uint32_t l) {
-        fw(l, in.rd) = f2u(u2f(fw(l, in.rs1)) * u2f(fw(l, in.rs2)) + u2f(fw(l, in.rs3)));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFmsubS:
-      for_lanes([&](uint32_t l) {
-        fw(l, in.rd) = f2u(u2f(fw(l, in.rs1)) * u2f(fw(l, in.rs2)) - u2f(fw(l, in.rs3)));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFnmsubS:
-      for_lanes([&](uint32_t l) {
-        fw(l, in.rd) =
-            f2u(-(u2f(fw(l, in.rs1)) * u2f(fw(l, in.rs2))) + u2f(fw(l, in.rs3)));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFnmaddS:
-      for_lanes([&](uint32_t l) {
-        fw(l, in.rd) =
-            f2u(-(u2f(fw(l, in.rs1)) * u2f(fw(l, in.rs2))) - u2f(fw(l, in.rs3)));
-      });
-      schedule_rd(true);
+    case Op::kBar:
+      barrier_arrive(w, xw(lane0, in.rs1) & 31, xw(lane0, in.rs2), cycle);
       break;
     // ---------------- memory ----------------
     case Op::kLb:
@@ -1076,10 +731,14 @@ void Core::execute_memory(uint32_t w, const Instr& in, uint32_t pc, uint64_t cyc
 
   // Hoisted for the same aliasing reason as in execute().
   const uint32_t threads = config_.threads;
-  uint32_t* const xbase = xregs_.data() + static_cast<size_t>(w) * threads * 32;
-  uint32_t* const fbase = fregs_.data() + static_cast<size_t>(w) * threads * 32;
-  auto xw = [xbase](uint32_t lane, uint32_t reg) -> uint32_t& { return xbase[lane * 32 + reg]; };
-  auto fw = [fbase](uint32_t lane, uint32_t reg) -> uint32_t& { return fbase[lane * 32 + reg]; };
+  uint32_t* const xbase = xregs_.data() + static_cast<size_t>(w) * 32 * threads;
+  uint32_t* const fbase = fregs_.data() + static_cast<size_t>(w) * 32 * threads;
+  auto xw = [xbase, threads](uint32_t lane, uint32_t reg) -> uint32_t& {
+    return xbase[reg * threads + lane];
+  };
+  auto fw = [fbase, threads](uint32_t lane, uint32_t reg) -> uint32_t& {
+    return fbase[reg * threads + lane];
+  };
   for (uint32_t lane = 0; lane < threads; ++lane) {
     if (!(mask & (1ull << lane))) continue;
     const uint32_t base = xw(lane, in.rs1);
@@ -1090,10 +749,10 @@ void Core::execute_memory(uint32_t w, const Instr& in, uint32_t pc, uint64_t cyc
 
     // Functional access now; timing modelled below.
     switch (in.op) {
-      case Op::kLb: xw(lane, in.rd) = static_cast<uint32_t>(static_cast<int8_t>(memory.load8(addr))); break;
-      case Op::kLbu: xw(lane, in.rd) = memory.load8(addr); break;
-      case Op::kLh: xw(lane, in.rd) = static_cast<uint32_t>(static_cast<int16_t>(memory.load16(addr))); break;
-      case Op::kLhu: xw(lane, in.rd) = memory.load16(addr); break;
+      case Op::kLb:
+      case Op::kLbu: xw(lane, in.rd) = arch::sem::load_extend(in.op, memory.load8(addr)); break;
+      case Op::kLh:
+      case Op::kLhu: xw(lane, in.rd) = arch::sem::load_extend(in.op, memory.load16(addr)); break;
       case Op::kLw: xw(lane, in.rd) = memory.load32(addr); break;
       case Op::kFlw: fw(lane, in.rd) = memory.load32(addr); break;
       case Op::kSb: memory.store8(addr, static_cast<uint8_t>(xw(lane, in.rs2))); break;
@@ -1108,23 +767,7 @@ void Core::execute_memory(uint32_t w, const Instr& in, uint32_t pc, uint64_t cyc
         break;
       default: {  // AMOs
         const uint32_t old = memory.load32(addr);
-        const uint32_t src = xw(lane, in.rs2);
-        uint32_t next = old;
-        switch (in.op) {
-          case Op::kAmoswapW: next = src; break;
-          case Op::kAmoaddW: next = old + src; break;
-          case Op::kAmoandW: next = old & src; break;
-          case Op::kAmoorW: next = old | src; break;
-          case Op::kAmoxorW: next = old ^ src; break;
-          case Op::kAmominW:
-            next = static_cast<uint32_t>(std::min(as_i32(old), as_i32(src)));
-            break;
-          case Op::kAmomaxW:
-            next = static_cast<uint32_t>(std::max(as_i32(old), as_i32(src)));
-            break;
-          default: break;
-        }
-        memory.store32(addr, next);
+        memory.store32(addr, arch::sem::amo(in.op, old, xw(lane, in.rs2)));
         if (in.rd != 0) xw(lane, in.rd) = old;
         break;
       }

@@ -1,8 +1,10 @@
 // One SIMT core of the soft GPU: the six-stage in-order pipeline of the
 // paper's Fig. 4 (schedule, fetch, decode, issue, execute, commit) modelled
 // at cycle level, SimX-style: instructions execute functionally at issue,
-// while timing (scoreboard occupancy, FU latency, LSU/cache round trips,
-// barriers, IPDOM divergence) is simulated per cycle.
+// through the semantics table and lane driver the turbo tier also runs
+// (arch/semantics.hpp, vortex/lanes.hpp), while timing (scoreboard
+// occupancy, FU latency, LSU/cache round trips, barriers, IPDOM divergence)
+// is simulated per cycle.
 //
 // Host-throughput fast path (cycle counts are unaffected, see
 // EXPERIMENTS.md "Fast-forward methodology"):
@@ -262,7 +264,6 @@ class Core {
   void execute(uint32_t warp_id, const FetchSlot& slot, uint64_t cycle);
   void execute_memory(uint32_t warp_id, const arch::Instr& instr, uint32_t pc, uint64_t cycle);
   void redirect(Warp& warp, uint32_t new_pc);
-  uint32_t first_active_lane(uint64_t mask) const;
   uint32_t next_warp(uint32_t w) const { return w + 1 == config_.warps ? 0 : w + 1; }
   uint32_t read_csr(uint32_t csr, uint32_t warp_id, uint32_t lane, uint64_t cycle) const;
   void barrier_arrive(uint32_t warp_id, uint32_t id, uint32_t count, uint64_t cycle);
@@ -280,7 +281,7 @@ class Core {
   EcallHandler ecall_handler_;
 
   std::vector<Warp> warps_;
-  std::vector<uint32_t> xregs_;  // [warp][thread][32]
+  std::vector<uint32_t> xregs_;  // [warp][reg][lane], register-major (vortex/lanes.hpp)
   std::vector<uint32_t> fregs_;
 
   std::vector<Completion> completions_;  // unordered; retired by swap-remove

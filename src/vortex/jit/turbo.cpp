@@ -3,10 +3,10 @@
 //
 //   TurboCore::lookup(pc)     block cache: start PC -> TranslatedBlock
 //   TurboCore::translate(pc)  decode a straight-line run of guest words
-//                             into per-instruction handler pointers, ending
-//                             at the first control-flow/SIMT instruction
+//                             into dispatch-coded instructions, ending at
+//                             the first control-flow/SIMT instruction
 //   TurboCore::run_warp(w)    dispatch loop: execute block bodies through
-//                             the handler pointers, resolve terminators,
+//                             one switch on the codes, resolve terminators,
 //                             and hop to the successor block through the
 //                             chain pointers (cache lookup only on a cold
 //                             edge or a dynamic target)
@@ -17,45 +17,27 @@
 // the cycle-exact interleaving, which is safe for output digests because
 // the generated code's cross-warp side effects are commutative (AMOs; no
 // LR/SC is emitted) — the property the -O0/-O2 digest differential already
-// relies on. All per-instruction semantics below copy vortex/core.cpp's
-// expression forms verbatim so register/memory results are bit-identical.
+// relies on. Lane values come from arch/semantics.hpp through the lane
+// driver in vortex/lanes.hpp, the code the cycle-exact core runs, so
+// register/memory results are bit-identical.
 #include "vortex/jit/turbo.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
 #include <cstring>
-#include <limits>
 
-#include "common/bits.hpp"
 #include "common/log.hpp"
+#include "vortex/lanes.hpp"
 
 namespace fgpu::vortex::jit {
 namespace {
 
 using arch::Instr;
 using arch::Op;
+using arch::sem::Opd;
 
 // Straight-line translation cap: a block longer than this is split, ending
 // without a terminator and falling through to its successor.
 constexpr size_t kMaxBlockInstrs = 256;
-
-int32_t as_i32(uint32_t v) { return static_cast<int32_t>(v); }
-
-// Copied from vortex/core.cpp so conversion saturation is bit-identical.
-uint32_t fcvt_w_s(float f, bool is_unsigned) {
-  if (std::isnan(f)) {
-    return is_unsigned ? 0xFFFFFFFFu : 0x7FFFFFFFu;
-  }
-  if (is_unsigned) {
-    if (f <= -1.0f) return 0;
-    if (f >= 4294967296.0f) return 0xFFFFFFFFu;
-    return static_cast<uint32_t>(f);
-  }
-  if (f <= -2147483648.0f) return 0x80000000u;
-  if (f >= 2147483648.0f) return 0x7FFFFFFFu;
-  return static_cast<uint32_t>(static_cast<int32_t>(f));
-}
 
 // Terminators end a translated block: everything that can move a warp's PC
 // or scheduling state. ECALL/FENCE/memory ops stay in the block body.
@@ -107,13 +89,12 @@ class TurboCore {
  public:
   struct TranslatedBlock;
 
-  // One translated guest instruction: the decoded form plus its
-  // precomputed handler — the "threaded code" unit of dispatch.
+  // One translated guest instruction: the decoded form plus its dispatch
+  // code (the arch::Op, or a fused superinstruction's code).
   struct TI {
-    void (*fn)(TurboCore&, uint32_t, const TI&) = nullptr;
     Instr instr;
     uint32_t pc = 0;
-    uint8_t fast = 0;  // FastOp dispatch code; 0 = dispatch through fn
+    uint8_t code = 0;
   };
 
   struct TranslatedBlock {
@@ -214,51 +195,27 @@ class TurboCore {
   }
 
   // --- register file --------------------------------------------------------
-  // Register-major ("structure of arrays") layout, unlike core.cpp's
-  // lane-major one: register r of lane l lives at [(warp*32 + r)*threads + l],
-  // so one warp-instruction's operand rows are contiguous runs of `threads`
-  // words — the layout the lane loops need to autovectorize. Purely an
-  // internal representation choice; values are bit-identical.
+  // Register-major, [warp][reg][lane], as in core.cpp (vortex/lanes.hpp).
   uint32_t& xr(uint32_t warp, uint32_t lane, uint32_t index) {
     return xregs_[(warp * 32 + index) * config_.threads + lane];
   }
-  uint32_t& fr(uint32_t warp, uint32_t lane, uint32_t index) {
-    return fregs_[(warp * 32 + index) * config_.threads + lane];
-  }
-  // Warp-base pointers for the handler hot paths: register row r starts at
-  // base[r * threads]. Hoisting the base (and a local Instr copy) out of the
+  // Warp-base pointers for the hot paths: register row r starts at
+  // base[r * threads]. Hoisting the base (and the lane count) out of the
   // lane loop matters because register stores are uint32_t writes, which
-  // TBAA says may alias config_ fields and Instr bytes — without the locals
-  // the compiler must re-derive addresses from memory every lane.
+  // TBAA says may alias config_ fields — without the locals the compiler
+  // must re-derive addresses from memory every lane.
   uint32_t* xwarp(uint32_t w) { return xregs_.data() + w * 32 * config_.threads; }
   uint32_t* fwarp(uint32_t w) { return fregs_.data() + w * 32 * config_.threads; }
   uint32_t nthreads() const { return config_.threads; }
 
   template <typename Fn>
   void lanes(uint32_t w, Fn&& fn) {
-    const uint64_t mask = warps_[w].tmask;
-    // Full-mask fast path with a compile-time bound: the dominant case is
-    // every lane of an 8-thread warp active, and the constant-8 loop lets
-    // the compiler unroll the handler body with no per-lane mask tests.
-    if (mask == 0xFFull && config_.threads == 8) {
-      for (uint32_t lane = 0; lane < 8; ++lane) fn(lane);
-      return;
-    }
-    // Partial masks (divergence, scalar prologues with tmask=1) iterate set
-    // bits only — the trip count is the active-lane count, not the warp
-    // width, which is what makes scalar-heavy kernels cheap.
-    for (uint64_t m = mask; m != 0; m &= m - 1) {
-      fn(static_cast<uint32_t>(__builtin_ctzll(m)));
-    }
-  }
-
-  uint32_t first_active_lane(uint64_t mask) const {
-    return mask != 0 ? static_cast<uint32_t>(__builtin_ctzll(mask)) : 0;
+    for_lanes(warps_[w].tmask, config_.threads, fn);
   }
 
   // True when every lane of an 8-thread warp is active — the precondition
-  // of both the lanes() constant-8 loop and the coalesced memory fast path
-  // in the word load/store handlers.
+  // of both the for_lanes() constant-8 loop and the coalesced memory fast
+  // path of the word loads and stores.
   bool full8(uint32_t w) const { return warps_[w].tmask == 0xFFull && config_.threads == 8; }
 
   uint32_t read_csr(uint32_t csr, uint32_t warp_id, uint32_t lane) const {
@@ -405,7 +362,7 @@ class TurboCore {
   TurboStats& stats_;
 
   std::vector<TWarp> warps_;
-  std::vector<uint32_t> xregs_;  // [warp][thread][32], as in core.cpp
+  std::vector<uint32_t> xregs_;  // [warp][reg][lane]
   std::vector<uint32_t> fregs_;
   std::vector<uint32_t> barrier_arrived_;
   std::vector<uint32_t> barrier_expected_;
@@ -432,283 +389,14 @@ class TurboCore {
 namespace {
 
 using TI = TurboCore::TI;
-using Handler = void (*)(TurboCore&, uint32_t, const TI&);
 
-// Hot-path handlers as named functions: the handler table points at them
-// like any other op, but translate() also tags their instructions with a
-// FastOp code so run_warp can dispatch them through an inline switch.
-// always_inline because the whole point is folding the op body into the
-// dispatch loop; the out-of-line copies still back the handler table.
-#define FGPU_TURBO_HOT inline __attribute__((always_inline))
-FGPU_TURBO_HOT void exec_Lui(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = static_cast<uint32_t>(in.imm) << 12;
-      });
-    }
+// Dispatch codes of the fused superinstructions, which no single guest op
+// maps to; every other TI's code is its arch::Op.
+constexpr uint8_t kCodeConstX = arch::kNumOps;       // lui[+addi]: imm to x[rd]
+constexpr uint8_t kCodeConstXF = arch::kNumOps + 1;  // ...+fmv.w.x: imm to x[rs1], f[rd]
+static_assert(arch::kNumOps + 2 <= 256, "TI::code is one byte");
 
-FGPU_TURBO_HOT void exec_Auipc(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; const uint32_t ipc = i.pc; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = ipc + (static_cast<uint32_t>(in.imm) << 12);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Addi(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] + static_cast<uint32_t>(in.imm);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Andi(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] & static_cast<uint32_t>(in.imm);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Ori(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] | static_cast<uint32_t>(in.imm);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Xori(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] ^ static_cast<uint32_t>(in.imm);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Slli(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] << in.imm;
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Srli(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] >> in.imm;
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Srai(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] =
-            static_cast<uint32_t>(as_i32(xp_rs1[l]) >> in.imm);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Slti(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = as_i32(xp_rs1[l]) < in.imm ? 1 : 0;
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Sltiu(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] =
-            xp_rs1[l] < static_cast<uint32_t>(in.imm) ? 1 : 0;
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Add(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] + xp_rs2[l];
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Sub(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] - xp_rs2[l];
-      });
-    }
-
-FGPU_TURBO_HOT void exec_And(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] & xp_rs2[l];
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Or(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] | xp_rs2[l];
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Xor(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] ^ xp_rs2[l];
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Sll(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] << (xp_rs2[l] & 31);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Srl(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] >> (xp_rs2[l] & 31);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Sra(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = static_cast<uint32_t>(as_i32(xp_rs1[l]) >>
-                                                       (xp_rs2[l] & 31));
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Slt(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] =
-            as_i32(xp_rs1[l]) < as_i32(xp_rs2[l]) ? 1 : 0;
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Sltu(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] < xp_rs2[l] ? 1 : 0;
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Mul(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] * xp_rs2[l];
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FaddS(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            f2u(u2f(fp_rs1[l]) + u2f(fp_rs2[l]));
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FsubS(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            f2u(u2f(fp_rs1[l]) - u2f(fp_rs2[l]));
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FmulS(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            f2u(u2f(fp_rs1[l]) * u2f(fp_rs2[l]));
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FmaddS(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T; uint32_t* const fp_rs3 = fw + in.rs3 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] = f2u(u2f(fp_rs1[l]) * u2f(fp_rs2[l]) +
-                                     u2f(fp_rs3[l]));
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FcvtSW(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] = f2u(static_cast<float>(as_i32(xp_rs1[l])));
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FcvtSWu(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] = f2u(static_cast<float>(xp_rs1[l]));
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FcvtWS(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = fcvt_w_s(u2f(fp_rs1[l]), false);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FmvWX(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) { fp_rd[l] = xp_rs1[l]; });
-    }
-
-FGPU_TURBO_HOT void exec_FmvXW(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) { xp_rd[l] = fp_rs1[l]; });
-    }
-
-FGPU_TURBO_HOT void exec_FsgnjS(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            (fp_rs1[l] & 0x7FFFFFFFu) | (fp_rs2[l] & 0x80000000u);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FltS(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] =
-            u2f(fp_rs1[l]) < u2f(fp_rs2[l]) ? 1 : 0;
-      });
-    }
+constexpr uint8_t code_of(Op op) { return static_cast<uint8_t>(op); }
 
 // Coalesced warp word access: GPU kernels overwhelmingly issue unit-stride
 // (or at least same-page) warp loads and stores, so when all 8 lanes of a
@@ -719,8 +407,8 @@ FGPU_TURBO_HOT void exec_FltS(TurboCore& c, uint32_t w, const TI& i) {
 // cross-page scatters, straddles) and the semantic reference. Lane order is
 // ascending in both store paths, so same-address conflicts resolve
 // identically.
-FGPU_TURBO_HOT void warp_load32(TurboCore& c, uint32_t w, const uint32_t* rs1, uint32_t imm,
-                                uint32_t* rd) {
+FGPU_LANES_INLINE void warp_load32(TurboCore& c, uint32_t w, const uint32_t* rs1, uint32_t imm,
+                                   uint32_t* rd) {
   if (c.full8(w)) {
     uint32_t addr[8];
     uint32_t tag_diff = 0, straddle = 0;
@@ -743,8 +431,8 @@ FGPU_TURBO_HOT void warp_load32(TurboCore& c, uint32_t w, const uint32_t* rs1, u
   c.lanes(w, [&](uint32_t l) { rd[l] = c.load32(rs1[l] + imm); });
 }
 
-FGPU_TURBO_HOT void warp_store32(TurboCore& c, uint32_t w, const uint32_t* rs1, uint32_t imm,
-                                 const uint32_t* rs2) {
+FGPU_LANES_INLINE void warp_store32(TurboCore& c, uint32_t w, const uint32_t* rs1, uint32_t imm,
+                                    const uint32_t* rs2) {
   if (c.full8(w)) {
     uint32_t addr[8];
     uint32_t tag_diff = 0, straddle = 0;
@@ -767,510 +455,62 @@ FGPU_TURBO_HOT void warp_store32(TurboCore& c, uint32_t w, const uint32_t* rs1, 
   c.lanes(w, [&](uint32_t l) { c.store32(rs1[l] + imm, rs2[l]); });
 }
 
-FGPU_TURBO_HOT void exec_Lw(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      warp_load32(c, w, xp_rs1, static_cast<uint32_t>(in.imm), xp_rd);
-    }
-
-FGPU_TURBO_HOT void exec_Sw(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      warp_store32(c, w, xp_rs1, static_cast<uint32_t>(in.imm), xp_rs2);
-    }
-
-FGPU_TURBO_HOT void exec_Flw(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const fp_rd = fw + in.rd * T;
-      warp_load32(c, w, xp_rs1, static_cast<uint32_t>(in.imm), fp_rd);
-    }
-
-FGPU_TURBO_HOT void exec_Fsw(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      warp_store32(c, w, xp_rs1, static_cast<uint32_t>(in.imm), fp_rs2);
-    }
-
-// Fused-superinstruction handlers (see the FastOp enum below): guest code
-// materializes constants as `lui r, hi` / `lui; addi r, r, lo` /
-// `...; fmv.w.x f, r` chains — up to three dispatches to broadcast one
-// 32-bit literal. translate()'s peephole collapses each chain into a single
-// TI carrying the folded constant in instr.imm; every architectural write
-// of the original sequence is preserved (ConstXF still writes the x
-// register — later code may read it).
-FGPU_TURBO_HOT void exec_ConstX(TurboCore& c, uint32_t w, const TI& i) {
+// Body instructions outside the op list and the word-access fast path:
+// CSR reads, ECALL, FENCE, sub-word and atomic memory ops. Kept out of
+// line so the dispatch loop stays compact.
+__attribute__((noinline)) void exec_other(TurboCore& c, uint32_t w, const TI& i) {
   const Instr in = i.instr;
-  uint32_t* xw = c.xwarp(w);
   const uint32_t T = c.nthreads();
-  uint32_t* const xp_rd = xw + in.rd * T;
-  const uint32_t v = static_cast<uint32_t>(in.imm);
-  c.lanes(w, [&](uint32_t l) { xp_rd[l] = v; });
-}
-
-FGPU_TURBO_HOT void exec_ConstXF(TurboCore& c, uint32_t w, const TI& i) {
-  // instr.rs1 = x destination (the lui's rd), instr.rd = f destination.
-  const Instr in = i.instr;
-  uint32_t* xw = c.xwarp(w);
-  uint32_t* fw = c.fwarp(w);
-  const uint32_t T = c.nthreads();
-  uint32_t* const xp = xw + in.rs1 * T;
-  uint32_t* const fp = fw + in.rd * T;
-  const uint32_t v = static_cast<uint32_t>(in.imm);
-  c.lanes(w, [&](uint32_t l) {
-    xp[l] = v;
-    fp[l] = v;
-  });
-}
-
-// Dispatch codes for the inline fast path; kFastNone falls back to the
-// instruction's handler pointer.
-enum : uint8_t {
-  kFastNone = 0,
-  kFastLui,
-  kFastAuipc,
-  kFastAddi,
-  kFastAndi,
-  kFastOri,
-  kFastXori,
-  kFastSlli,
-  kFastSrli,
-  kFastSrai,
-  kFastSlti,
-  kFastSltiu,
-  kFastAdd,
-  kFastSub,
-  kFastAnd,
-  kFastOr,
-  kFastXor,
-  kFastSll,
-  kFastSrl,
-  kFastSra,
-  kFastSlt,
-  kFastSltu,
-  kFastMul,
-  kFastFaddS,
-  kFastFsubS,
-  kFastFmulS,
-  kFastFmaddS,
-  kFastFcvtSW,
-  kFastFcvtSWu,
-  kFastFcvtWS,
-  kFastFmvWX,
-  kFastFmvXW,
-  kFastFsgnjS,
-  kFastFltS,
-  kFastLw,
-  kFastSw,
-  kFastFlw,
-  kFastFsw,
-  // Fused superinstructions, produced only by translate()'s peephole (no
-  // single guest op maps to these): constant materialization chains.
-  kFastConstX,   // lui[+addi] collapsed: write imm to x[rd]
-  kFastConstXF,  // lui[+addi]+fmv.w.x collapsed: write imm to x[rs1] and f[rd]
-};
-
-uint8_t fast_op_for(Op op) {
-  switch (op) {
-    case Op::kLui: return kFastLui;
-    case Op::kAuipc: return kFastAuipc;
-    case Op::kAddi: return kFastAddi;
-    case Op::kAndi: return kFastAndi;
-    case Op::kOri: return kFastOri;
-    case Op::kXori: return kFastXori;
-    case Op::kSlli: return kFastSlli;
-    case Op::kSrli: return kFastSrli;
-    case Op::kSrai: return kFastSrai;
-    case Op::kSlti: return kFastSlti;
-    case Op::kSltiu: return kFastSltiu;
-    case Op::kAdd: return kFastAdd;
-    case Op::kSub: return kFastSub;
-    case Op::kAnd: return kFastAnd;
-    case Op::kOr: return kFastOr;
-    case Op::kXor: return kFastXor;
-    case Op::kSll: return kFastSll;
-    case Op::kSrl: return kFastSrl;
-    case Op::kSra: return kFastSra;
-    case Op::kSlt: return kFastSlt;
-    case Op::kSltu: return kFastSltu;
-    case Op::kMul: return kFastMul;
-    case Op::kFaddS: return kFastFaddS;
-    case Op::kFsubS: return kFastFsubS;
-    case Op::kFmulS: return kFastFmulS;
-    case Op::kFmaddS: return kFastFmaddS;
-    case Op::kFcvtSW: return kFastFcvtSW;
-    case Op::kFcvtSWu: return kFastFcvtSWu;
-    case Op::kFcvtWS: return kFastFcvtWS;
-    case Op::kFmvWX: return kFastFmvWX;
-    case Op::kFmvXW: return kFastFmvXW;
-    case Op::kFsgnjS: return kFastFsgnjS;
-    case Op::kFltS: return kFastFltS;
-    case Op::kLw: return kFastLw;
-    case Op::kSw: return kFastSw;
-    case Op::kFlw: return kFastFlw;
-    case Op::kFsw: return kFastFsw;
-    default: return kFastNone;
-  }
-}
-
-// The threaded-code handler table: one captureless lambda per opcode,
-// bound once at translation time. Register-write forms (including the
-// unguarded rd writes and the FMA spellings) copy vortex/core.cpp exactly.
-const std::array<Handler, arch::kNumOps>& handler_table() {
-  static const std::array<Handler, arch::kNumOps> table = [] {
-    std::array<Handler, arch::kNumOps> t{};
-    auto set = [&t](Op op, Handler h) { t[static_cast<size_t>(op)] = h; };
-
-    // ---------------- ALU ----------------
-    set(Op::kLui, exec_Lui);
-    set(Op::kAuipc, exec_Auipc);
-    set(Op::kAddi, exec_Addi);
-    set(Op::kSlti, exec_Slti);
-    set(Op::kSltiu, exec_Sltiu);
-    set(Op::kXori, exec_Xori);
-    set(Op::kOri, exec_Ori);
-    set(Op::kAndi, exec_Andi);
-    set(Op::kSlli, exec_Slli);
-    set(Op::kSrli, exec_Srli);
-    set(Op::kSrai, exec_Srai);
-    set(Op::kAdd, exec_Add);
-    set(Op::kSub, exec_Sub);
-    set(Op::kSll, exec_Sll);
-    set(Op::kSlt, exec_Slt);
-    set(Op::kSltu, exec_Sltu);
-    set(Op::kXor, exec_Xor);
-    set(Op::kSrl, exec_Srl);
-    set(Op::kSra, exec_Sra);
-    set(Op::kOr, exec_Or);
-    set(Op::kAnd, exec_And);
-    // ---------------- MUL/DIV ----------------
-    set(Op::kMul, exec_Mul);
-    set(Op::kMulh, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
+  uint32_t* const xp_rd = c.xwarp(w) + in.rd * T;
+  const uint32_t* const xp_rs1 = c.xwarp(w) + in.rs1 * T;
+  const uint32_t* const xp_rs2 = c.xwarp(w) + in.rs2 * T;
+  const uint32_t imm = static_cast<uint32_t>(in.imm);
+  switch (in.op) {
+    case Op::kCsrrw:
+    case Op::kCsrrs:
+    case Op::kCsrrc:
       c.lanes(w, [&](uint32_t l) {
-        const int64_t p = static_cast<int64_t>(as_i32(xp_rs1[l])) *
-                          static_cast<int64_t>(as_i32(xp_rs2[l]));
-        xp_rd[l] = static_cast<uint32_t>(static_cast<uint64_t>(p) >> 32);
+        if (in.rd != 0) xp_rd[l] = c.read_csr(imm, w, l);
       });
-    });
-    set(Op::kMulhsu, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
+      break;
+    case Op::kEcall: c.do_ecall(w); break;
+    case Op::kFence: break;
+    case Op::kLb:
+    case Op::kLbu:
       c.lanes(w, [&](uint32_t l) {
-        const int64_t p = static_cast<int64_t>(as_i32(xp_rs1[l])) *
-                          static_cast<int64_t>(static_cast<uint64_t>(xp_rs2[l]));
-        xp_rd[l] = static_cast<uint32_t>(static_cast<uint64_t>(p) >> 32);
+        xp_rd[l] = arch::sem::load_extend(in.op, c.load8(xp_rs1[l] + imm));
       });
-    });
-    set(Op::kMulhu, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
+      break;
+    case Op::kLh:
+    case Op::kLhu:
       c.lanes(w, [&](uint32_t l) {
-        const uint64_t p = static_cast<uint64_t>(xp_rs1[l]) *
-                           static_cast<uint64_t>(xp_rs2[l]);
-        xp_rd[l] = static_cast<uint32_t>(p >> 32);
+        xp_rd[l] = arch::sem::load_extend(in.op, c.load16(xp_rs1[l] + imm));
       });
-    });
-    set(Op::kDiv, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
+      break;
+    case Op::kSb:
+      c.lanes(w, [&](uint32_t l) { c.store8(xp_rs1[l] + imm, static_cast<uint8_t>(xp_rs2[l])); });
+      break;
+    case Op::kSh:
       c.lanes(w, [&](uint32_t l) {
-        const int32_t a = as_i32(xp_rs1[l]), b = as_i32(xp_rs2[l]);
-        int32_t r;
-        if (b == 0) {
-          r = -1;
-        } else if (a == std::numeric_limits<int32_t>::min() && b == -1) {
-          r = a;
-        } else {
-          r = a / b;
-        }
-        xp_rd[l] = static_cast<uint32_t>(r);
+        c.store16(xp_rs1[l] + imm, static_cast<uint16_t>(xp_rs2[l]));
       });
-    });
-    set(Op::kDivu, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t a = xp_rs1[l], b = xp_rs2[l];
-        xp_rd[l] = b == 0 ? 0xFFFFFFFFu : a / b;
-      });
-    });
-    set(Op::kRem, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const int32_t a = as_i32(xp_rs1[l]), b = as_i32(xp_rs2[l]);
-        int32_t r;
-        if (b == 0) {
-          r = a;
-        } else if (a == std::numeric_limits<int32_t>::min() && b == -1) {
-          r = 0;
-        } else {
-          r = a % b;
-        }
-        xp_rd[l] = static_cast<uint32_t>(r);
-      });
-    });
-    set(Op::kRemu, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t a = xp_rs1[l], b = xp_rs2[l];
-        xp_rd[l] = b == 0 ? a : a % b;
-      });
-    });
-    // ---------------- CSR / system ----------------
-    const Handler csr = [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        if (in.rd != 0) {
-          xp_rd[l] = c.read_csr(static_cast<uint32_t>(in.imm), w, l);
-        }
-      });
-    };
-    set(Op::kCsrrw, csr);
-    set(Op::kCsrrs, csr);
-    set(Op::kCsrrc, csr);
-    set(Op::kEcall, [](TurboCore& c, uint32_t w, const TI&) { c.do_ecall(w); });
-    set(Op::kFence, [](TurboCore&, uint32_t, const TI&) {});
-    // ---------------- FPU ----------------
-    set(Op::kFaddS, exec_FaddS);
-    set(Op::kFsubS, exec_FsubS);
-    set(Op::kFmulS, exec_FmulS);
-    set(Op::kFdivS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            f2u(u2f(fp_rs1[l]) / u2f(fp_rs2[l]));
-      });
-    });
-    set(Op::kFsqrtS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] = f2u(std::sqrt(u2f(fp_rs1[l])));
-      });
-    });
-    set(Op::kFsgnjS, exec_FsgnjS);
-    set(Op::kFsgnjnS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            (fp_rs1[l] & 0x7FFFFFFFu) | (~fp_rs2[l] & 0x80000000u);
-      });
-    });
-    set(Op::kFsgnjxS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            fp_rs1[l] ^ (fp_rs2[l] & 0x80000000u);
-      });
-    });
-    set(Op::kFminS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            f2u(std::fmin(u2f(fp_rs1[l]), u2f(fp_rs2[l])));
-      });
-    });
-    set(Op::kFmaxS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            f2u(std::fmax(u2f(fp_rs1[l]), u2f(fp_rs2[l])));
-      });
-    });
-    set(Op::kFcvtWS, exec_FcvtWS);
-    set(Op::kFcvtWuS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = fcvt_w_s(u2f(fp_rs1[l]), true);
-      });
-    });
-    set(Op::kFcvtSW, exec_FcvtSW);
-    set(Op::kFcvtSWu, exec_FcvtSWu);
-    set(Op::kFmvXW, exec_FmvXW);
-    set(Op::kFmvWX, exec_FmvWX);
-    set(Op::kFclassS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const float f = u2f(fp_rs1[l]);
-        uint32_t cls = 0;
-        if (std::isnan(f)) {
-          cls = 1u << 9;
-        } else if (std::isinf(f)) {
-          cls = f < 0 ? 1u << 0 : 1u << 7;
-        } else if (f == 0.0f) {
-          cls = std::signbit(f) ? 1u << 3 : 1u << 4;
-        } else if (std::fpclassify(f) == FP_SUBNORMAL) {
-          cls = f < 0 ? 1u << 2 : 1u << 5;
-        } else {
-          cls = f < 0 ? 1u << 1 : 1u << 6;
-        }
-        xp_rd[l] = cls;
-      });
-    });
-    set(Op::kFeqS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] =
-            u2f(fp_rs1[l]) == u2f(fp_rs2[l]) ? 1 : 0;
-      });
-    });
-    set(Op::kFltS, exec_FltS);
-    set(Op::kFleS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] =
-            u2f(fp_rs1[l]) <= u2f(fp_rs2[l]) ? 1 : 0;
-      });
-    });
-    set(Op::kFmaddS, exec_FmaddS);
-    set(Op::kFmsubS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T; uint32_t* const fp_rs3 = fw + in.rs3 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] = f2u(u2f(fp_rs1[l]) * u2f(fp_rs2[l]) -
-                                     u2f(fp_rs3[l]));
-      });
-    });
-    set(Op::kFnmsubS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T; uint32_t* const fp_rs3 = fw + in.rs3 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            f2u(-(u2f(fp_rs1[l]) * u2f(fp_rs2[l])) +
-                u2f(fp_rs3[l]));
-      });
-    });
-    set(Op::kFnmaddS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T; uint32_t* const fp_rs3 = fw + in.rs3 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            f2u(-(u2f(fp_rs1[l]) * u2f(fp_rs2[l])) -
-                u2f(fp_rs3[l]));
-      });
-    });
-    // ---------------- memory (functional; local/global routed per lane) --
-    set(Op::kLb, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l] + static_cast<uint32_t>(in.imm);
-        xp_rd[l] =
-            static_cast<uint32_t>(static_cast<int8_t>(c.load8(addr)));
-      });
-    });
-    set(Op::kLbu, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l] + static_cast<uint32_t>(in.imm);
-        xp_rd[l] = c.load8(addr);
-      });
-    });
-    set(Op::kLh, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l] + static_cast<uint32_t>(in.imm);
-        xp_rd[l] =
-            static_cast<uint32_t>(static_cast<int16_t>(c.load16(addr)));
-      });
-    });
-    set(Op::kLhu, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l] + static_cast<uint32_t>(in.imm);
-        xp_rd[l] = c.load16(addr);
-      });
-    });
-    set(Op::kLw, exec_Lw);
-    set(Op::kFlw, exec_Flw);
-    set(Op::kSb, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l] + static_cast<uint32_t>(in.imm);
-        c.store8(addr, static_cast<uint8_t>(xp_rs2[l]));
-      });
-    });
-    set(Op::kSh, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l] + static_cast<uint32_t>(in.imm);
-        c.store16(addr, static_cast<uint16_t>(xp_rs2[l]));
-      });
-    });
-    set(Op::kSw, exec_Sw);
-    set(Op::kFsw, exec_Fsw);
-    set(Op::kLrW, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l];
-        xp_rd[l] = c.load32(addr);
-      });
-    });
-    set(Op::kScW, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
+      break;
+    case Op::kLrW: c.lanes(w, [&](uint32_t l) { xp_rd[l] = c.load32(xp_rs1[l]); }); break;
+    case Op::kScW:
       // Single-context execution: SC always succeeds (as in core.cpp).
       c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l];
-        c.store32(addr, xp_rs2[l]);
+        c.store32(xp_rs1[l], xp_rs2[l]);
         xp_rd[l] = 0;
       });
-    });
-    const Handler amo = [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
+      break;
+    default:  // AMOs
       c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l];
-        const uint32_t old = c.load32(addr);
-        const uint32_t src = xp_rs2[l];
-        uint32_t next = old;
-        switch (in.op) {
-          case Op::kAmoswapW: next = src; break;
-          case Op::kAmoaddW: next = old + src; break;
-          case Op::kAmoandW: next = old & src; break;
-          case Op::kAmoorW: next = old | src; break;
-          case Op::kAmoxorW: next = old ^ src; break;
-          case Op::kAmominW:
-            next = static_cast<uint32_t>(std::min(as_i32(old), as_i32(src)));
-            break;
-          case Op::kAmomaxW:
-            next = static_cast<uint32_t>(std::max(as_i32(old), as_i32(src)));
-            break;
-          default: break;
-        }
-        c.store32(addr, next);
+        const uint32_t old = c.load32(xp_rs1[l]);
+        c.store32(xp_rs1[l], arch::sem::amo(in.op, old, xp_rs2[l]));
         if (in.rd != 0) xp_rd[l] = old;
       });
-    };
-    set(Op::kAmoswapW, amo);
-    set(Op::kAmoaddW, amo);
-    set(Op::kAmoandW, amo);
-    set(Op::kAmoorW, amo);
-    set(Op::kAmoxorW, amo);
-    set(Op::kAmominW, amo);
-    set(Op::kAmomaxW, amo);
-    return t;
-  }();
-  return table;
+      break;
+  }
 }
 
 }  // namespace
@@ -1312,32 +552,29 @@ TurboCore::TranslatedBlock* TurboCore::translate(uint32_t start_pc) {
     bool fused = false;
     if (!blk->body.empty()) {
       TI& prev = blk->body.back();
-      const bool prev_const_x = prev.fast == kFastLui || prev.fast == kFastConstX;
+      const bool prev_const_x = prev.code == code_of(Op::kLui) || prev.code == kCodeConstX;
       if (prev_const_x) {
-        const uint32_t prev_val = prev.fast == kFastLui
+        const uint32_t prev_val = prev.code == code_of(Op::kLui)
                                       ? static_cast<uint32_t>(prev.instr.imm) << 12
                                       : static_cast<uint32_t>(prev.instr.imm);
         if (decoded->op == Op::kAddi && decoded->rd == prev.instr.rd &&
             decoded->rs1 == prev.instr.rd) {
           prev.instr.op = Op::kAddi;
           prev.instr.imm = static_cast<int32_t>(prev_val + static_cast<uint32_t>(decoded->imm));
-          prev.fast = kFastConstX;
-          prev.fn = exec_ConstX;
+          prev.code = kCodeConstX;
           fused = true;
         } else if (decoded->op == Op::kFmvWX && decoded->rs1 == prev.instr.rd) {
           prev.instr.op = Op::kFmvWX;
           prev.instr.rs1 = prev.instr.rd;  // x destination (the chain's register)
           prev.instr.rd = decoded->rd;     // f destination
           prev.instr.imm = static_cast<int32_t>(prev_val);
-          prev.fast = kFastConstXF;
-          prev.fn = exec_ConstXF;
+          prev.code = kCodeConstXF;
           fused = true;
         }
       }
     }
     if (!fused) {
-      blk->body.push_back(TI{handler_table()[static_cast<size_t>(decoded->op)], *decoded, pc,
-                             fast_op_for(decoded->op)});
+      blk->body.push_back(TI{*decoded, pc, code_of(decoded->op)});
     }
     ++blk->body_retired;
     pc += 4;
@@ -1353,9 +590,12 @@ bool TurboCore::run_warp(uint32_t w) {
   TranslatedBlock* blk = lookup(warp.pc);
   // Retired counts accumulate in a local and flush once per run_warp exit:
   // stats_ and the launch-wide counter live behind pointers whose targets
-  // handler stores may alias (TBAA), so per-block RMWs through them would
+  // register stores may alias (TBAA), so per-block RMWs through them would
   // reload every block. instret_ stays per-block exact for CSR reads.
   uint64_t local_retired = 0;
+  uint32_t* const xw = xwarp(w);
+  uint32_t* const fw = fwarp(w);
+  const uint32_t T = config_.threads;
   struct Flush {
     TurboCore& c;
     const uint64_t& n;
@@ -1371,48 +611,41 @@ bool TurboCore::run_warp(uint32_t w) {
                           " (possible deadlock or runaway loop)");
       return false;
     }
+    // The thread mask only changes at terminators, so it holds for the body.
+    const uint64_t mask = warp.tmask;
     for (const TI& ti : blk->body) {
-      switch (ti.fast) {
-        case kFastLui: exec_Lui(*this, w, ti); break;
-        case kFastAuipc: exec_Auipc(*this, w, ti); break;
-        case kFastAddi: exec_Addi(*this, w, ti); break;
-        case kFastAndi: exec_Andi(*this, w, ti); break;
-        case kFastOri: exec_Ori(*this, w, ti); break;
-        case kFastXori: exec_Xori(*this, w, ti); break;
-        case kFastSlli: exec_Slli(*this, w, ti); break;
-        case kFastSrli: exec_Srli(*this, w, ti); break;
-        case kFastSrai: exec_Srai(*this, w, ti); break;
-        case kFastSlti: exec_Slti(*this, w, ti); break;
-        case kFastSltiu: exec_Sltiu(*this, w, ti); break;
-        case kFastAdd: exec_Add(*this, w, ti); break;
-        case kFastSub: exec_Sub(*this, w, ti); break;
-        case kFastAnd: exec_And(*this, w, ti); break;
-        case kFastOr: exec_Or(*this, w, ti); break;
-        case kFastXor: exec_Xor(*this, w, ti); break;
-        case kFastSll: exec_Sll(*this, w, ti); break;
-        case kFastSrl: exec_Srl(*this, w, ti); break;
-        case kFastSra: exec_Sra(*this, w, ti); break;
-        case kFastSlt: exec_Slt(*this, w, ti); break;
-        case kFastSltu: exec_Sltu(*this, w, ti); break;
-        case kFastMul: exec_Mul(*this, w, ti); break;
-        case kFastFaddS: exec_FaddS(*this, w, ti); break;
-        case kFastFsubS: exec_FsubS(*this, w, ti); break;
-        case kFastFmulS: exec_FmulS(*this, w, ti); break;
-        case kFastFmaddS: exec_FmaddS(*this, w, ti); break;
-        case kFastFcvtSW: exec_FcvtSW(*this, w, ti); break;
-        case kFastFcvtSWu: exec_FcvtSWu(*this, w, ti); break;
-        case kFastFcvtWS: exec_FcvtWS(*this, w, ti); break;
-        case kFastFmvWX: exec_FmvWX(*this, w, ti); break;
-        case kFastFmvXW: exec_FmvXW(*this, w, ti); break;
-        case kFastFsgnjS: exec_FsgnjS(*this, w, ti); break;
-        case kFastFltS: exec_FltS(*this, w, ti); break;
-        case kFastLw: exec_Lw(*this, w, ti); break;
-        case kFastSw: exec_Sw(*this, w, ti); break;
-        case kFastFlw: exec_Flw(*this, w, ti); break;
-        case kFastFsw: exec_Fsw(*this, w, ti); break;
-        case kFastConstX: exec_ConstX(*this, w, ti); break;
-        case kFastConstXF: exec_ConstXF(*this, w, ti); break;
-        default: ti.fn(*this, w, ti); break;
+      const Instr& in = ti.instr;
+      const uint32_t imm = static_cast<uint32_t>(in.imm);
+      switch (ti.code) {
+#define FGPU_TURBO_EXEC(OP, FN, RD, S1, S2, S3)                                          \
+        case code_of(Op::k##OP):                                                         \
+          exec_lanes<arch::sem::FN, Opd::RD, Opd::S1, Opd::S2, Opd::S3>(xw, fw, T, mask, in, \
+                                                                       ti.pc);           \
+          break;
+        FGPU_SEM_OPS(FGPU_TURBO_EXEC)
+#undef FGPU_TURBO_EXEC
+        case code_of(Op::kLw):
+          warp_load32(*this, w, xw + in.rs1 * T, imm, xw + in.rd * T);
+          break;
+        case code_of(Op::kFlw):
+          warp_load32(*this, w, xw + in.rs1 * T, imm, fw + in.rd * T);
+          break;
+        case code_of(Op::kSw):
+          warp_store32(*this, w, xw + in.rs1 * T, imm, xw + in.rs2 * T);
+          break;
+        case code_of(Op::kFsw):
+          warp_store32(*this, w, xw + in.rs1 * T, imm, fw + in.rs2 * T);
+          break;
+        case kCodeConstX:
+          for_lanes(mask, T, [&](uint32_t l) { xw[in.rd * T + l] = imm; });
+          break;
+        case kCodeConstXF:
+          for_lanes(mask, T, [&](uint32_t l) {
+            xw[in.rs1 * T + l] = imm;
+            fw[in.rd * T + l] = imm;
+          });
+          break;
+        default: exec_other(*this, w, ti); break;
       }
     }
     const uint64_t retired = blk->body_retired + (blk->has_term ? 1 : 0);
@@ -1425,7 +658,6 @@ bool TurboCore::run_warp(uint32_t w) {
 
     const Instr& in = blk->term;
     const uint32_t pc = blk->term_pc;
-    const uint64_t mask = warp.tmask;
     switch (in.op) {
       case Op::kJal:
         if (in.rd != 0) {
@@ -1436,7 +668,7 @@ bool TurboCore::run_warp(uint32_t w) {
         break;
       case Op::kJalr: {
         const uint32_t target =
-            (xr(w, first_active_lane(mask), in.rs1) + static_cast<uint32_t>(in.imm)) & ~1u;
+            (xr(w, first_lane(mask), in.rs1) + static_cast<uint32_t>(in.imm)) & ~1u;
         if (in.rd != 0) {
           lanes(w, [&](uint32_t l) { xr(w, l, in.rd) = pc + 4; });
         }
@@ -1450,18 +682,8 @@ bool TurboCore::run_warp(uint32_t w) {
       case Op::kBge:
       case Op::kBltu:
       case Op::kBgeu: {
-        const uint32_t lane = first_active_lane(mask);
-        const uint32_t a = xr(w, lane, in.rs1), b = xr(w, lane, in.rs2);
-        bool taken = false;
-        switch (in.op) {
-          case Op::kBeq: taken = a == b; break;
-          case Op::kBne: taken = a != b; break;
-          case Op::kBlt: taken = as_i32(a) < as_i32(b); break;
-          case Op::kBge: taken = as_i32(a) >= as_i32(b); break;
-          case Op::kBltu: taken = a < b; break;
-          case Op::kBgeu: taken = a >= b; break;
-          default: break;
-        }
+        const uint32_t lane = first_lane(mask);
+        const bool taken = arch::sem::branch_taken(in.op, xr(w, lane, in.rs1), xr(w, lane, in.rs2));
         if (taken) {
           warp.pc = blk->take_pc;
           blk = next_take(blk);
@@ -1474,7 +696,7 @@ bool TurboCore::run_warp(uint32_t w) {
       case Op::kTmc: {
         const uint64_t full =
             (config_.threads >= 64) ? ~0ull : ((1ull << config_.threads) - 1);
-        const uint64_t value = xr(w, first_active_lane(mask), in.rs1) & full;
+        const uint64_t value = xr(w, first_lane(mask), in.rs1) & full;
         warp.tmask = value;
         if (value == 0) {
           warp.active = false;
@@ -1485,7 +707,7 @@ bool TurboCore::run_warp(uint32_t w) {
         break;
       }
       case Op::kWspawn: {
-        const uint32_t lane = first_active_lane(mask);
+        const uint32_t lane = first_lane(mask);
         const uint32_t count = std::min(xr(w, lane, in.rs1), config_.warps);
         const uint32_t target = xr(w, lane, in.rs2);
         for (uint32_t s = 1; s < count; ++s) {
@@ -1566,7 +788,7 @@ bool TurboCore::run_warp(uint32_t w) {
         break;
       }
       case Op::kBar: {
-        const uint32_t lane = first_active_lane(mask);
+        const uint32_t lane = first_lane(mask);
         barrier_arrive(w, xr(w, lane, in.rs1) & 31, xr(w, lane, in.rs2));
         warp.pc = blk->fall_pc;
         if (warp.at_barrier) return true;  // blocked; resumes after the BAR

@@ -1,7 +1,6 @@
 // Turbo execution tier: a threaded-code binary translator for the Vortex
-// ISA. Decoded guest basic blocks are compiled once into host-dispatchable
-// block handlers (one precomputed handler function pointer per
-// instruction), cached by start PC, and chained so hot block-to-block
+// ISA. Guest basic blocks are decoded once into blocks of dispatchable
+// instructions, cached by start PC, and chained so hot block-to-block
 // transitions skip the cache lookup entirely.
 //
 // Contract (DESIGN.md "Execution tiers"): turbo is FUNCTIONAL-ONLY. It
@@ -10,9 +9,11 @@
 // but models no pipeline, caches, or stalls. It therefore reports
 // instruction counts and JIT statistics, never cycles, PerfCounters stall
 // buckets, or per-PC profiles; the cycle-exact tier (vortex/core.cpp)
-// remains the sole timing oracle. Every arithmetic expression here copies
-// core.cpp's exact form so results are bit-identical (asserted over all 28
-// Table-I benchmarks by tests/test_turbo.cpp and the CI digest gate).
+// remains the sole timing oracle. Both tiers compute lane values through
+// arch/semantics.hpp and the lane driver in vortex/lanes.hpp, so results
+// are bit-identical (asserted over all 28 Table-I benchmarks by
+// tests/test_turbo.cpp and the CI digest gate, and per op by
+// tests/test_semantics.cpp).
 #pragma once
 
 #include <cstdint>

@@ -2,15 +2,20 @@
 // divergent control flow, loops, memory traffic), run them through the
 // reference interpreter and through codegen + the cycle-level simulator,
 // and require bit-identical buffers. Also checks the blocked work
-// distribution and the no-uniform-branch ablation against the default.
+// distribution and the no-uniform-branch ablation against the default, and
+// the turbo tier at every opt level. Division runs unmasked, so division by
+// zero and INT_MIN / -1 reach every executor.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
+#include <string>
 
 #include "common/rng.hpp"
 #include "kir/build.hpp"
 #include "kir/interp.hpp"
 #include "kir/passes.hpp"
+#include "runtime/turbo_device.hpp"
 #include "runtime/vortex_device.hpp"
 
 namespace fgpu {
@@ -42,8 +47,8 @@ kir::Kernel random_kernel(uint64_t seed) {
       case 0: return a + b;
       case 1: return a - b;
       case 2: return a * b;
-      case 3: return a / (b | 1);     // avoid heavy div-by-zero paths but keep them legal
-      case 4: return a % (b | 1);
+      case 3: return a / b;
+      case 4: return a % b;
       case 5: return a & b;
       case 6: return a | b;
       case 7: return a ^ b;
@@ -126,28 +131,45 @@ TEST_P(FuzzCodegen, SimulatorMatchesInterpreter) {
   variants[6].options.distribution = codegen::WorkDistribution::kBlocked;
   variants[6].options.opt_level = 0;
 
+  // The turbo tier at each opt level, as a third executor.
+  struct Executor {
+    std::string name;
+    std::unique_ptr<vcl::Device> device;
+  };
+  std::vector<Executor> executors;
   for (const auto& variant : variants) {
-    vcl::VortexDevice device(vortex::Config::with(2, 4, 8), fpga::stratix10_sx2800(),
-                             variant.options);
+    executors.push_back({variant.name, std::make_unique<vcl::VortexDevice>(
+                                           vortex::Config::with(2, 4, 8),
+                                           fpga::stratix10_sx2800(), variant.options)});
+  }
+  for (int level = 0; level <= 2; ++level) {
+    codegen::Options options;
+    options.opt_level = level;
+    executors.push_back({"turbo-O" + std::to_string(level),
+                         std::make_unique<vcl::TurboDevice>(vortex::Config::with(2, 4, 8),
+                                                            fpga::stratix10_sx2800(), options)});
+  }
+
+  for (const auto& [name, device] : executors) {
     kir::Module module;
     module.kernels.push_back(kernel);
-    ASSERT_TRUE(device.build(module).is_ok()) << variant.name;
-    auto in_buf = device.upload(input);
-    auto out_buf = device.alloc(count * 4);
+    ASSERT_TRUE(device->build(module).is_ok()) << name;
+    auto in_buf = device->upload(input);
+    auto out_buf = device->alloc(count * 4);
     std::vector<uint32_t> zero(count, 0);
-    device.write(out_buf, zero.data(), count * 4, 0);
-    auto stats = device.launch("fuzz", {in_buf, out_buf, static_cast<int32_t>(count)},
-                               NDRange::linear(count, 32));
-    ASSERT_TRUE(stats.is_ok()) << variant.name << ": " << stats.status().to_string();
-    const auto got = device.download<uint32_t>(out_buf);
+    device->write(out_buf, zero.data(), count * 4, 0);
+    auto stats = device->launch("fuzz", {in_buf, out_buf, static_cast<int32_t>(count)},
+                                NDRange::linear(count, 32));
+    ASSERT_TRUE(stats.is_ok()) << name << ": " << stats.status().to_string();
+    const auto got = device->download<uint32_t>(out_buf);
     for (uint32_t i = 0; i < count; ++i) {
-      ASSERT_EQ(got[i], ref_out[i]) << variant.name << " seed " << seed << " element " << i
-                                    << "\n" << kernel.to_string();
+      ASSERT_EQ(got[i], ref_out[i]) << name << " seed " << seed << " element " << i << "\n"
+                                    << kernel.to_string();
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FuzzCodegen, ::testing::Range(1, 25));
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzCodegen, ::testing::Range(1, 201));
 
 TEST(TraceHookTest, RecordsIssuedInstructions) {
   KernelBuilder kb("traced");

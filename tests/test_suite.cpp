@@ -44,6 +44,9 @@ TEST_P(SuiteHlsCoverage, MatchesPaperTableI) {
   const bool paper_bram_fail =
       name == "lbm" || name == "backprop" || name == "b+tree" || name == "dwt2d" || name == "lud";
   const bool paper_atomics_fail = name == "hybridsort";
+  const char* listed = suite::paper_hls_failure(name);
+  EXPECT_EQ(std::string(listed == nullptr ? "" : listed),
+            paper_bram_fail ? "Not enough BRAM" : paper_atomics_fail ? "Atomics" : "");
   if (paper_bram_fail) {
     EXPECT_FALSE(run.build.is_ok());
     EXPECT_EQ(run.fail_reason, "Not enough BRAM") << run.build.to_string();

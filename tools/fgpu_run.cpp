@@ -105,18 +105,6 @@ void usage(const char* argv0) {
       argv0);
 }
 
-// Table-I device coverage as reported by the paper: the soft GPU runs all
-// 28; the HLS flow fails these six. Mirrors bench/table1_coverage.cpp's
-// expectations so `--list` describes coverage without running anything.
-const char* hls_expected_failure(const std::string& name) {
-  if (name == "lbm" || name == "backprop" || name == "b+tree" || name == "dwt2d" ||
-      name == "lud") {
-    return "Not enough BRAM";
-  }
-  if (name == "hybridsort") return "Atomics";
-  return nullptr;
-}
-
 // Parses "C4W8T8" (case-insensitive, any order, all three required).
 bool parse_config(const std::string& spec, vortex::Config* config) {
   uint32_t c = 0, w = 0, t = 0;
@@ -490,7 +478,7 @@ int main(int argc, char** argv) {
     std::printf("-----------------+----------------+--------+--------+-------------------\n");
     for (const auto& name : *names) {
       const suite::Benchmark bench = suite::make_benchmark(name);
-      const char* hls_fail = hls_expected_failure(name);
+      const char* hls_fail = suite::paper_hls_failure(name);
       std::printf("%-16s | %-14s | %-6s | %-6s | %-18s\n", name.c_str(), bench.origin.c_str(),
                   "O", hls_fail == nullptr ? "O" : "X", hls_fail == nullptr ? "" : hls_fail);
     }
