@@ -118,14 +118,18 @@ void BM_CacheHitStream(benchmark::State& state) {
   mem::DramModel dram(mem::DramConfig::ddr4());
   mem::Cache cache(mem::CacheConfig{.name = "bench", .size_bytes = 16 * 1024}, &dram);
   uint64_t served = 0;
-  cache.set_response_handler([&](uint64_t, bool) { ++served; });
   uint64_t cycle = 0, id = 0;
   for (auto _ : state) {
     dram.tick(cycle);
+    for (const uint64_t fill : dram.responses()) cache.on_lower_response(fill, cycle);
+    dram.responses().clear();
     cache.tick(cycle);
-    if (cache.can_accept()) {
+    served += cache.responses().size();
+    cache.responses().clear();
+    if (cache.can_accept(cycle)) {
       cache.send(mem::MemRequest{.id = id++, .addr = static_cast<uint32_t>((id * 4) % 8192),
-                                 .is_write = false});
+                                 .is_write = false},
+                 cycle);
     }
     ++cycle;
   }

@@ -6,23 +6,29 @@
 
 namespace fgpu::mem {
 
-Cache::Cache(CacheConfig config, MemPort* lower)
+Cache::Cache(CacheConfig config, DramModel* lower)
     : config_(std::move(config)),
       set_mask_(config_.num_sets() - 1),
       set_shift_(log2_floor(config_.num_sets())),
-      lower_(lower),
+      lower_dram_(lower),
       trace_name_(config_.name) {
   assert(is_pow2(config_.size_bytes) && "cache size must be a power of two");
   assert(is_pow2(config_.ways) && "cache ways must be a power of two");
   assert(config_.num_lines() % config_.ways == 0);
+  assert(config_.mshrs < kFillIdMask && "an MSHR slot + 1 must fit the fill id");
   lines_.resize(config_.num_lines());
   set_conflicts_.resize(config_.num_sets(), 0);
-  lower_->set_response_handler(
-      [this](uint64_t id, bool was_write) { on_lower_response(id, was_write); });
+}
+
+Cache::Cache(CacheConfig config, Cache* lower, uint32_t port)
+    : Cache(std::move(config), static_cast<DramModel*>(nullptr)) {
+  lower_l2_ = lower;
+  lower_tag_ = port_tag(port);
 }
 
 void Cache::flush() {
   for (auto& line : lines_) line = LineState{};
+  restart_clock();
 }
 
 void Cache::reset() {
@@ -31,13 +37,10 @@ void Cache::reset() {
   hit_queue_.clear();
   writeback_queue_.clear();
   mshrs_.clear();
-  fill_ids_.clear();
-  now_ = 0;
+  responses_.clear();
   lru_counter_ = 0;
-  accepted_this_cycle_ = 0;
   mshr_used_ = 0;
   mshr_unsent_ = 0;
-  next_lower_id_ = 1;
 }
 
 Cache::LineState* Cache::lookup(uint32_t line_addr) {
@@ -50,7 +53,7 @@ Cache::LineState* Cache::lookup(uint32_t line_addr) {
   return nullptr;
 }
 
-void Cache::install(uint32_t line_addr) {
+void Cache::install(uint32_t line_addr, uint64_t cycle) {
   const uint32_t set = set_of(line_addr);
   LineState* victim = nullptr;
   for (uint32_t w = 0; w < config_.ways; ++w) {
@@ -68,7 +71,8 @@ void Cache::install(uint32_t line_addr) {
       ++stats_.writebacks;
       const uint32_t victim_line = (victim->tag << set_shift_) | set;
       writeback_queue_.push_back(
-          MemRequest{.id = 0, .addr = victim_line << kLineShift, .is_write = true});
+          MemRequest{.id = lower_tag_, .addr = victim_line << kLineShift, .is_write = true});
+      next_tick_ = std::min(next_tick_, cycle);
     }
   }
   victim->tag = tag_of(line_addr);
@@ -77,17 +81,12 @@ void Cache::install(uint32_t line_addr) {
   victim->lru = ++lru_counter_;
 }
 
-bool Cache::can_accept() const {
-  if (accepted_this_cycle_ >= config_.ports) return false;
-  // Must be able to allocate an MSHR in the worst case (miss). This is
-  // conservative when the incoming request would merge into an existing
-  // MSHR, but that is exactly the back-pressure behaviour that produces
-  // LSU stalls in the soft GPU under high warp/thread counts (paper §III-C).
-  return mshr_used_ < config_.mshrs;
-}
-
-void Cache::send(const MemRequest& req) {
-  ++accepted_this_cycle_;
+void Cache::send(const MemRequest& req, uint64_t cycle) {
+  if (cycle != accept_cycle_) {
+    accept_cycle_ = cycle;
+    accepted_ = 0;
+  }
+  ++accepted_;
   const uint32_t line_addr = line_of(req.addr);
   if (req.is_write) {
     ++stats_.writes;
@@ -116,7 +115,8 @@ void Cache::send(const MemRequest& req) {
     if (profiler_) profiler_->on_access(line_addr, req.pc, /*is_miss=*/false);
     line->lru = ++lru_counter_;
     if (req.is_write) line->dirty = true;
-    hit_queue_.push_back(PendingResponse{req, now_ + config_.hit_latency});
+    hit_queue_.push_back(PendingResponse{req.id, cycle + config_.hit_latency});
+    next_tick_ = std::min(next_tick_, cycle + config_.hit_latency);
     return;
   }
 
@@ -143,35 +143,26 @@ void Cache::send(const MemRequest& req) {
   slot->waiters.push_back(req);
   ++mshr_used_;
   ++mshr_unsent_;
-  if (profiler_) profiler_->on_mshr_change(mshr_used_, now_);
+  next_tick_ = std::min(next_tick_, cycle + 1);  // the fill goes down next tick
+  if (profiler_) profiler_->on_mshr_change(mshr_used_, cycle);
 }
 
-void Cache::on_lower_response(uint64_t id, bool /*was_write*/) {
-  auto it = fill_ids_.find(id);
-  if (it == fill_ids_.end()) return;  // writeback ack; nothing to do
-  const uint32_t line_addr = it->second;
-  fill_ids_.erase(it);
-  install(line_addr);
-  for (auto& mshr : mshrs_) {
-    if (mshr.fill_sent && mshr.line_addr == line_addr) {
-      LineState* line = lookup(line_addr);
-      for (const auto& waiter : mshr.waiters) {
-        if (waiter.is_write && line != nullptr) line->dirty = true;
-        if (handler_) handler_(waiter.id, waiter.is_write);
-      }
-      mshr.waiters.clear();
-      mshr.fill_sent = false;
-      --mshr_used_;
-      // Defer the occupancy transition to this cache's tick of the same
-      // cycle: responses arrive while now_ still holds the last ticked
-      // cycle, and how stale that is depends on idle skipping — charging
-      // here would make the histogram differ between skip modes. Without a
-      // profiler there is nothing to charge, and a stale flag would keep
-      // tick() off its idle early-out.
-      if (profiler_) mshr_profile_dirty_ = true;
-      break;
-    }
+void Cache::on_lower_response(uint64_t id, uint64_t cycle) {
+  const uint64_t slot = id & kFillIdMask;
+  // Slot 0 is a writeback ack; an answer to a slot with no fill in flight
+  // is stale (it was sent before a reset) and changes nothing.
+  if (slot == 0 || slot > mshrs_.size() || !mshrs_[slot - 1].fill_sent) return;
+  Mshr& mshr = mshrs_[slot - 1];
+  install(mshr.line_addr, cycle);
+  LineState* line = lookup(mshr.line_addr);
+  for (const auto& waiter : mshr.waiters) {
+    if (waiter.is_write && line != nullptr) line->dirty = true;
+    responses_.push_back(waiter.id);
   }
+  mshr.waiters.clear();
+  mshr.fill_sent = false;
+  --mshr_used_;
+  if (profiler_) profiler_->on_mshr_change(mshr_used_, cycle);
 }
 
 // Bucketed counter samples of the cumulative hit/miss/eviction totals —
@@ -192,22 +183,16 @@ void Cache::trace_counters(uint64_t cycle) {
                  {"mshr_used", mshr_used_}});
 }
 
-void Cache::tick_queues() {
-  if (mshr_profile_dirty_) {
-    profiler_->on_mshr_change(mshr_used_, now_);
-    mshr_profile_dirty_ = false;
-  }
-
+void Cache::tick_queues(uint64_t cycle) {
   // Drain hit responses whose latency elapsed.
-  while (!hit_queue_.empty() && hit_queue_.front().ready_cycle <= now_) {
-    const PendingResponse resp = hit_queue_.front();
+  while (!hit_queue_.empty() && hit_queue_.front().ready_cycle <= cycle) {
+    responses_.push_back(hit_queue_.front().id);
     hit_queue_.pop_front();
-    if (handler_) handler_(resp.req.id, resp.req.is_write);
   }
 
   // Writebacks take priority on the lower port (they free victim lines).
-  while (!writeback_queue_.empty() && lower_->can_accept()) {
-    lower_->send(writeback_queue_.front());
+  while (!writeback_queue_.empty() && lower_can_accept(cycle)) {
+    lower_send(writeback_queue_.front(), cycle);
     writeback_queue_.pop_front();
   }
 
@@ -215,31 +200,31 @@ void Cache::tick_queues() {
   if (mshr_unsent_ > 0) {
     for (auto& mshr : mshrs_) {
       if (!mshr.waiters.empty() && !mshr.fill_sent) {
-        if (!lower_->can_accept()) break;
-        const uint64_t id = next_lower_id_++;
-        fill_ids_[id] = mshr.line_addr;
+        if (!lower_can_accept(cycle)) break;
         // The fill carries the primary waiter's PC so lower-level misses
         // stay attributable to the instruction that started the chain.
-        lower_->send(MemRequest{.id = id,
-                                .addr = mshr.line_addr << kLineShift,
-                                .is_write = false,
-                                .pc = mshr.waiters.front().pc});
+        const uint64_t slot = static_cast<uint64_t>(&mshr - mshrs_.data());
+        lower_send(MemRequest{.id = lower_tag_ | (slot + 1),
+                              .addr = mshr.line_addr << kLineShift,
+                              .is_write = false,
+                              .pc = mshr.waiters.front().pc},
+                   cycle);
         mshr.fill_sent = true;
         --mshr_unsent_;
       }
     }
   }
-}
 
-uint64_t Cache::next_event_cycle() const {
   // Unsent lower-level traffic retries every cycle (its send time depends
-  // on lower-level back-pressure we cannot predict): next tick is an event.
-  if (!writeback_queue_.empty() || mshr_unsent_ > 0) return now_ + 1;
-  // Hit responses are drained front-gated in FIFO order, and ready cycles
-  // are pushed in nondecreasing order (now_ + hit_latency), so the front
-  // holds the earliest maturity.
-  if (!hit_queue_.empty()) return std::max(hit_queue_.front().ready_cycle, now_ + 1);
-  return kNoEvent;
+  // on lower-level back-pressure we cannot predict). Hit responses drain
+  // front-gated in FIFO order, so the front holds the next maturity.
+  if (!writeback_queue_.empty() || mshr_unsent_ > 0) {
+    next_tick_ = cycle + 1;
+  } else if (!hit_queue_.empty()) {
+    next_tick_ = hit_queue_.front().ready_cycle;
+  } else {
+    next_tick_ = kNoEvent;
+  }
 }
 
 }  // namespace fgpu::mem

@@ -10,10 +10,10 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bits.hpp"
+#include "mem/dram.hpp"
 #include "mem/memprof.hpp"
 #include "mem/timing.hpp"
 #include "trace/trace.hpp"
@@ -36,47 +36,61 @@ struct CacheConfig {
   uint32_t num_sets() const { return num_lines() / ways; }
 };
 
-class Cache final : public MemPort {
+class Cache {
  public:
-  // `lower` is the next level (L2 or DRAM); not owned.
-  Cache(CacheConfig config, MemPort* lower);
+  // The L2: misses and writebacks go to `lower` (not owned).
+  Cache(CacheConfig config, DramModel* lower);
+  // An L1: misses and writebacks go to the L2 `lower` (not owned), tagged
+  // with this cache's `port` on that link (see port_tag in timing.hpp).
+  Cache(CacheConfig config, Cache* lower, uint32_t port);
 
-  bool can_accept() const override;
-  void send(const MemRequest& req) override;
-  void set_response_handler(ResponseHandler handler) override { handler_ = std::move(handler); }
-  // Inline so the idle early-out costs no call: the cluster ticks every
-  // cache (the L2 and both L1s of each core) every cycle, and most of those
-  // ticks find nothing to send and no hit response due.
-  void tick(uint64_t cycle) override {
+  bool can_accept(uint64_t cycle) const {
+    if (cycle == accept_cycle_ && accepted_ >= config_.ports) return false;
+    // Must be able to allocate an MSHR in the worst case (miss). This is
+    // conservative when the incoming request would merge into an existing
+    // MSHR, but that is exactly the back-pressure behaviour that produces
+    // LSU stalls in the soft GPU under high warp/thread counts (paper §III-C).
+    return mshr_used_ < config_.mshrs;
+  }
+  // Accepts `req` in `cycle`, after this cache's tick of that cycle.
+  void send(const MemRequest& req, uint64_t cycle);
+  // The level below answered request `id` (as sent by this cache) in
+  // `cycle`, before this cache's tick of that cycle: a line fill installs
+  // the line and answers its waiters; a writeback needs nothing.
+  void on_lower_response(uint64_t id, uint64_t cycle);
+  // Inline so an idle tick costs one compare: the cluster ticks every cache
+  // (the L2 and both L1s of each core) on every simulated cycle, and most
+  // of those ticks find nothing to send and no hit response due.
+  void tick(uint64_t cycle) {
     if constexpr (trace::kEnabled) {
       if ((cycle & (trace::kCounterBucketCycles - 1)) == 0) trace_counters(cycle);
     }
-    now_ = cycle;
-    accepted_this_cycle_ = 0;
-    if (writeback_queue_.empty() && mshr_unsent_ == 0 && !mshr_profile_dirty_ &&
-        (hit_queue_.empty() || hit_queue_.front().ready_cycle > cycle)) {
-      return;
-    }
-    tick_queues();
+    if (cycle < next_tick_) return;
+    tick_queues(cycle);
   }
 
-  // Earliest future cycle (> the last ticked cycle) at which this cache has
-  // work to do on its own: a queued hit response maturing, or unsent
-  // lower-level traffic (writebacks / MSHR fills) to retry. kNoEvent when
-  // it is quiescent apart from responses owed by the lower level.
-  uint64_t next_event_cycle() const;
+  // First cycle at which tick() has work: a queued hit response maturing,
+  // or unsent lower-level traffic (writebacks / MSHR fills) to retry every
+  // cycle. kNoEvent when quiescent apart from fills the lower level owes.
+  // Lowered by send() and by a fill that queues a writeback; recomputed by
+  // each tick that does work.
+  uint64_t next_tick() const { return next_tick_; }
+  // Requester ids answered since the owner last cleared the list, in
+  // answer order.
+  std::vector<uint64_t>& responses() { return responses_; }
 
   const CacheConfig& config() const { return config_; }
   const MemStats& stats() const { return stats_; }
   // Evictions per set (the profiler's cache-conflict histogram: a hot set
   // with many evictions marks addresses fighting over the same ways).
   const std::vector<uint64_t>& set_conflicts() const { return set_conflicts_; }
+  // Also the launch boundary (see flush()).
   void reset_stats() {
     stats_ = MemStats{};
     std::fill(set_conflicts_.begin(), set_conflicts_.end(), 0ull);
     trace_last_total_ = 0;
     if (profiler_) profiler_->reset();
-    mshr_profile_dirty_ = false;
+    restart_clock();
   }
 
   // Turns on the memory-hierarchy profiler (miss classification, reuse
@@ -101,16 +115,19 @@ class Cache final : public MemPort {
     trace_name_ = config_.name + ".c" + std::to_string(tid);
   }
 
-  // Invalidates all lines (kernel-launch boundary).
+  // Invalidates all lines (kernel-launch boundary). Cycles restart at 0 on
+  // every launch while traffic left from the last one keeps its old ready
+  // cycles, so the next tick re-evaluates from cycle 0 exactly as it would
+  // had every cycle ticked (an unsent writeback goes out at cycle 0).
   void flush();
 
   // Full return to construction-time state: flush() + reset_stats() plus
   // everything the per-launch path leaves behind — pending hit responses,
-  // queued writebacks, MSHR allocations, request-id state and internal
-  // clocks. After reset() the cache is indistinguishable from a freshly
-  // constructed one (the device-reuse contract, DESIGN.md "Device
-  // lifecycle"); memprof enablement is configuration, not state, and
-  // survives. No allocation is released — capacity stays warm for reuse.
+  // queued writebacks and MSHR allocations. After reset() the cache is
+  // indistinguishable from a freshly constructed one (the device-reuse
+  // contract, DESIGN.md "Device lifecycle"); memprof enablement is
+  // configuration, not state, and survives. No allocation is released —
+  // capacity stays warm for reuse.
   void reset();
 
  private:
@@ -129,44 +146,54 @@ class Cache final : public MemPort {
     std::vector<MemRequest> waiters;
   };
   struct PendingResponse {
-    MemRequest req;
+    uint64_t id;
     uint64_t ready_cycle;
   };
 
   uint32_t set_of(uint32_t line_addr) const { return line_addr & set_mask_; }
   uint32_t tag_of(uint32_t line_addr) const { return line_addr >> set_shift_; }
   LineState* lookup(uint32_t line_addr);
-  void install(uint32_t line_addr);
-  void on_lower_response(uint64_t id, bool was_write);
+  void install(uint32_t line_addr, uint64_t cycle);
   void trace_counters(uint64_t cycle);
-  // The non-idle part of tick(): a deferred MSHR-occupancy transition,
-  // matured hit responses, writebacks and unsent fills.
-  void tick_queues();
+  // The non-idle part of tick(): matured hit responses, writebacks and
+  // unsent fills; then the next tick's cycle.
+  void tick_queues(uint64_t cycle);
+  void restart_clock() {
+    next_tick_ = 0;
+    accept_cycle_ = kNoEvent;
+  }
+  bool lower_can_accept(uint64_t cycle) const {
+    return lower_l2_ != nullptr ? lower_l2_->can_accept(cycle) : lower_dram_->can_accept(cycle);
+  }
+  void lower_send(const MemRequest& req, uint64_t cycle) {
+    if (lower_l2_ != nullptr) {
+      lower_l2_->send(req, cycle);
+    } else {
+      lower_dram_->send(req, cycle);
+    }
+  }
 
   CacheConfig config_;
   uint32_t set_mask_ = 0;   // num_sets() - 1
   uint32_t set_shift_ = 0;  // log2(num_sets())
-  MemPort* lower_;
-  ResponseHandler handler_;
+  // The level below: exactly one is set.
+  Cache* lower_l2_ = nullptr;
+  DramModel* lower_dram_ = nullptr;
+  uint64_t lower_tag_ = 0;  // port_tag() on the L1->L2 link, else 0
   std::vector<LineState> lines_;  // [set * ways + way]
-  std::vector<Mshr> mshrs_;
+  std::vector<Mshr> mshrs_;  // a fill's request id is its index + 1
   std::deque<PendingResponse> hit_queue_;    // hit responses in flight
   std::deque<MemRequest> writeback_queue_;   // dirty evictions waiting to go down
-  uint64_t now_ = 0;
+  std::vector<uint64_t> responses_;
+  uint64_t next_tick_ = 0;
   uint64_t lru_counter_ = 0;
-  uint32_t accepted_this_cycle_ = 0;
+  uint64_t accept_cycle_ = kNoEvent;  // the cycle accepted_ counts
+  uint32_t accepted_ = 0;
   uint32_t mshr_used_ = 0;    // MSHRs with waiters or a fill in flight
   uint32_t mshr_unsent_ = 0;  // MSHRs still needing to send their fill
-  uint64_t next_lower_id_ = 1;
-  std::unordered_map<uint64_t, uint32_t> fill_ids_;  // lower-level id -> line addr
   MemStats stats_;
   std::vector<uint64_t> set_conflicts_;  // evictions per set
   std::unique_ptr<CacheProfiler> profiler_;  // null unless enable_memprof()
-  // A lower-level response changed mshr_used_ before this cache's tick of
-  // that cycle; the occupancy transition is charged at the tick so its
-  // timestamp does not depend on idle skipping (see on_lower_response).
-  // Only ever set while profiler_ is non-null.
-  bool mshr_profile_dirty_ = false;
 
   // Trace hook state (see trace/trace.hpp).
   uint32_t trace_tid_ = 0;

@@ -12,6 +12,7 @@
 
 #include "mem/memprof.hpp"
 #include "mem/timing.hpp"
+#include "trace/trace.hpp"
 
 namespace fgpu::mem {
 
@@ -27,21 +28,31 @@ struct DramConfig {
 };
 
 // Fixed-latency, bandwidth-limited DRAM. Requests are line-granular;
-// channel selection is by address interleaving on line index.
-class DramModel final : public MemPort {
+// channel selection is by address interleaving on line index. Answered
+// request ids collect in responses() for the owner to route upward.
+class DramModel {
  public:
   explicit DramModel(DramConfig config);
 
-  bool can_accept() const override;
-  void send(const MemRequest& req) override;
-  void set_response_handler(ResponseHandler handler) override { handler_ = std::move(handler); }
-  void tick(uint64_t cycle) override;
+  bool can_accept(uint64_t cycle) const;
+  void send(const MemRequest& req, uint64_t cycle);
+  // Inline so an idle tick costs one compare: the cluster ticks the DRAM on
+  // every simulated cycle, and most find no queued request due.
+  void tick(uint64_t cycle) {
+    if constexpr (trace::kEnabled) {
+      if ((cycle & (trace::kCounterBucketCycles - 1)) == 0) trace_counters(cycle);
+    }
+    if (cycle < next_tick_) return;
+    serve(cycle);
+  }
 
-  // Earliest future cycle (> the last ticked cycle) at which a queued
-  // request matures; kNoEvent when all channels are empty. Queues are
-  // served front-gated in FIFO order with nondecreasing ready cycles, so
-  // each channel's front holds its earliest event.
-  uint64_t next_event_cycle() const;
+  // First cycle at which tick() has work: the earliest channel front
+  // maturing (queues are served front-gated in FIFO order). kNoEvent when
+  // every channel is empty. Lowered by send(); recomputed by each tick
+  // that does work.
+  uint64_t next_tick() const { return next_tick_; }
+  // Ids answered by the ticks since the owner last cleared the list.
+  std::vector<uint64_t>& responses() { return responses_; }
 
   const DramConfig& config() const { return config_; }
   const MemStats& stats() const { return stats_; }
@@ -51,20 +62,24 @@ class DramModel final : public MemPort {
   double peak_lines_per_cycle() const {
     return static_cast<double>(config_.channels * config_.requests_per_channel);
   }
+  // Also the launch boundary: cycles restart at 0 while requests left
+  // from the last launch keep their old ready cycles, so the next tick
+  // re-evaluates from cycle 0 exactly as it would had every cycle ticked.
   void reset_stats() {
     stats_ = MemStats{};
     trace_last_total_ = 0;
     if (profiler_) profiler_->reset();
+    next_tick_ = 0;
+    accept_cycle_ = kNoEvent;
   }
 
   // Full return to construction-time state: reset_stats() plus the
-  // per-channel request queues, acceptance counters and the internal clock
-  // (the device-reuse contract, DESIGN.md "Device lifecycle").
+  // per-channel request queues (the device-reuse contract, DESIGN.md
+  // "Device lifecycle").
   void reset() {
     reset_stats();
     for (auto& queue : queues_) queue.clear();
-    for (auto& count : accepted_this_cycle_) count = 0;
-    now_ = 0;
+    responses_.clear();
   }
 
   // Names this model's counter track in exported traces ("ddr4.d0"),
@@ -87,18 +102,25 @@ class DramModel final : public MemPort {
 
  private:
   struct Inflight {
-    MemRequest req;
+    uint64_t id;
     uint64_t ready_cycle;
   };
 
   uint32_t channel_of(uint32_t addr) const { return line_of(addr) % config_.channels; }
+  // Requests accepted on `channel` in `cycle` (the counters are stamped
+  // with the cycle they count, so no tick has to clear them).
+  uint32_t accepted(uint32_t channel, uint64_t cycle) const {
+    return cycle == accept_cycle_ ? accepted_[channel] : 0;
+  }
+  void serve(uint64_t cycle);
   void trace_counters(uint64_t cycle);
 
   DramConfig config_;
   std::vector<std::deque<Inflight>> queues_;  // per channel
-  std::vector<uint32_t> accepted_this_cycle_;
-  uint64_t now_ = 0;
-  ResponseHandler handler_;
+  std::vector<uint32_t> accepted_;            // per channel, in accept_cycle_
+  uint64_t accept_cycle_ = kNoEvent;
+  uint64_t next_tick_ = 0;
+  std::vector<uint64_t> responses_;
   MemStats stats_;
   std::unique_ptr<DramProfiler> profiler_;  // null unless enable_memprof()
 

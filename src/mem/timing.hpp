@@ -1,12 +1,13 @@
-// Timing interfaces of the memory hierarchy. Components (caches, DRAM)
-// exchange line-granular requests; the data itself lives in MainMemory.
-// All components are ticked once per simulated cycle, bottom-up (DRAM,
-// then L2, then L1s) so that responses ripple upward within a cycle chain
-// of at least one cycle per level.
+// Timing model of the memory hierarchy. Components (caches, DRAM) exchange
+// line-granular requests; the data itself lives in MainMemory. The shape is
+// fixed (per core an L1I and an L1D, then L2, then DRAM), so components are
+// plain classes wired to the level below them. No component calls upward:
+// each appends the ids it answers to its responses() list, which the owner
+// drains right after ticking it. Within a cycle components tick bottom-up
+// (DRAM, then L2, then the L1s), so a response climbs one level per tick.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 namespace fgpu::mem {
 
@@ -19,9 +20,19 @@ constexpr uint32_t kLineShift = 4;
 
 inline uint32_t line_of(uint32_t addr) { return addr >> kLineShift; }
 
-// "No pending event" sentinel for next-event-cycle queries (idle skipping:
-// the cluster fast-forwards to the minimum next event across components).
+// "No pending event" sentinel for next_tick() queries (idle skipping: the
+// cluster fast-forwards to the minimum next tick across components).
 constexpr uint64_t kNoEvent = ~0ull;
+
+// Request ids a cache sends below route answers by array index. The low
+// kFillIdBits name the request: MSHR slot + 1 for a line fill, 0 for a
+// writeback (whose answer needs no routing). Above them an L1 carries its
+// port on the L1->L2 link, 2 * core + {0 L1D, 1 L1I}, so the cluster
+// hands each L2 answer to the right L1 without a routing table.
+constexpr uint32_t kFillIdBits = 16;
+constexpr uint64_t kFillIdMask = (1ull << kFillIdBits) - 1;
+inline uint64_t port_tag(uint32_t port) { return uint64_t{port} << kFillIdBits; }
+inline uint32_t port_of(uint64_t id) { return static_cast<uint32_t>(id >> kFillIdBits); }
 
 struct MemRequest {
   uint64_t id = 0;       // requester-chosen token, returned with the response
@@ -31,19 +42,6 @@ struct MemRequest {
   // behind the access (0 when none, e.g. writebacks). Caches propagate the
   // primary waiter's PC on MSHR fills so L2 misses stay attributable.
   uint32_t pc = 0;
-};
-
-// A component that accepts memory requests and later answers them through
-// a response callback. `can_accept` models port/queue back-pressure.
-class MemPort {
- public:
-  using ResponseHandler = std::function<void(uint64_t id, bool was_write)>;
-
-  virtual ~MemPort() = default;
-  virtual bool can_accept() const = 0;
-  virtual void send(const MemRequest& req) = 0;
-  virtual void set_response_handler(ResponseHandler handler) = 0;
-  virtual void tick(uint64_t cycle) = 0;
 };
 
 struct MemStats {

@@ -26,7 +26,7 @@ void add_stats(mem::MemStats& into, const mem::MemStats& from) {
 }  // namespace
 
 Cluster::Cluster(const Config& config, mem::MainMemory& gmem, EcallHandler ecall_handler)
-    : config_(config), gmem_(gmem), dram_(config.dram), l2_(config.l2, &dram_), noc_(&l2_) {
+    : config_(config), gmem_(gmem), dram_(config.dram), l2_(config.l2, &dram_) {
   l2_.set_trace_id(0);
   dram_.set_trace_id(0);
   if (config_.memprof) {
@@ -36,8 +36,7 @@ Cluster::Cluster(const Config& config, mem::MainMemory& gmem, EcallHandler ecall
   cores_.reserve(config_.cores);
   stall_track_names_.reserve(config_.cores);
   for (uint32_t c = 0; c < config_.cores; ++c) {
-    cores_.push_back(std::make_unique<Core>(config_, c, gmem_, *noc_.new_port(), *noc_.new_port(),
-                                            ecall_handler));
+    cores_.push_back(std::make_unique<Core>(config_, c, gmem_, l2_, ecall_handler));
     cores_.back()->l1d().set_trace_id(c);
     cores_.back()->l1i().set_trace_id(c);
     stall_track_names_.push_back("stalls.c" + std::to_string(c));
@@ -48,7 +47,6 @@ void Cluster::hard_reset() {
   cycle_ = 0;
   l2_.reset();
   dram_.reset();
-  noc_.reset();
   for (auto& core : cores_) core->hard_reset();
 }
 
@@ -71,46 +69,54 @@ void Cluster::tick() {
   if constexpr (trace::kEnabled) {
     if ((cycle_ & (trace::kCounterBucketCycles - 1)) == 0) trace_counters();
   }
-  // Clear the per-cycle progress flags before anything can deliver a
-  // response (memory responses count as progress for idle skipping).
-  for (auto& core : cores_) core->begin_tick();
-  // Bottom-up so responses ripple one level per cycle.
-  dram_.tick(cycle_);
-  l2_.tick(cycle_);
+  tick_memory(cycle_);
   for (auto& core : cores_) core->tick_caches(cycle_);
   for (auto& core : cores_) core->tick_logic(cycle_);
   ++cycle_;
   ++ticks_;
 }
 
+// Bottom-up so responses ripple one level per cycle: each level's answers
+// are routed up before the level above ticks. An idle component's tick is
+// one compare against its next_tick().
+void Cluster::tick_memory(uint64_t cycle) {
+  dram_.tick(cycle);
+  if (!dram_.responses().empty()) {
+    for (const uint64_t id : dram_.responses()) l2_.on_lower_response(id, cycle);
+    dram_.responses().clear();
+    route_l2_responses(cycle);
+  }
+  l2_.tick(cycle);
+  route_l2_responses(cycle);
+}
+
+// Hands each L2 answer to the L1 whose port rides in the request id.
+void Cluster::route_l2_responses(uint64_t cycle) {
+  std::vector<uint64_t>& ids = l2_.responses();
+  if (ids.empty()) return;
+  for (const uint64_t id : ids) {
+    const uint32_t port = mem::port_of(id);
+    Core& core = *cores_[port >> 1];
+    ((port & 1) != 0 ? core.l1i() : core.l1d()).on_lower_response(id, cycle);
+  }
+  ids.clear();
+}
+
 // Event-driven idle skipping (Config::idle_skip). Called after a tick: if
-// no core made progress on that cycle, the machine's state is frozen until
-// the earliest self-scheduled event anywhere in the hierarchy — every
-// intervening cycle would replay the same issue outcome. Jump there,
-// letting each core bulk-attribute the skipped cycles to the stall bucket
-// it charged on the base cycle (preserving PerfCounters and the per-PC
-// profile's exact-sum contract to the cycle; see tests/test_fastpath.cpp).
+// every core is asleep, the machine's state is frozen until the earliest
+// self-scheduled event anywhere in the hierarchy, so jump there. The cores
+// charge the skipped cycles when they wake (Core::wake), to the stall
+// bucket of their last simulated cycle, which keeps PerfCounters and the
+// per-PC profile's exact-sum contract to the cycle (tests/test_fastpath.cpp).
+// With no event anywhere (a barrier deadlock) nothing can change again, and
+// the jump goes straight to max_cycles.
 void Cluster::try_idle_skip() {
+  uint64_t wake = std::min(dram_.next_tick(), l2_.next_tick());
   for (const auto& core : cores_) {
-    if (core->progressed()) return;
+    if (!core->asleep()) return;
+    wake = std::min({wake, core->wake_cycle(), core->l1d().next_tick(), core->l1i().next_tick()});
   }
-  // `cycle_` was already advanced past the stalled cycle; components were
-  // last ticked at cycle_ - 1 and their queries are relative to that.
-  const uint64_t base = cycle_ - 1;
-  uint64_t wake = dram_.next_event_cycle();
-  wake = std::min(wake, l2_.next_event_cycle());
-  for (const auto& core : cores_) {
-    wake = std::min(wake, core->l1d().next_event_cycle());
-    wake = std::min(wake, core->l1i().next_event_cycle());
-    wake = std::min(wake, core->next_wake_cycle(base));
-  }
-  // No known event (e.g. a barrier deadlock): keep per-cycle ticking so the
-  // max_cycles guard fires exactly as before.
-  if (wake == mem::kNoEvent) return;
-  wake = std::min(wake, config_.max_cycles);
-  if (wake <= cycle_) return;
-  for (auto& core : cores_) core->fast_forward(cycle_, wake - cycle_);
-  cycle_ = wake;
+  cycle_ = std::max(cycle_, std::min(wake, config_.max_cycles));
 }
 
 // Per-bucket stall-attribution samples: one cumulative counter track per
@@ -188,11 +194,15 @@ Result<ClusterStats> Cluster::run(uint32_t entry_pc) {
   while (busy()) {
     tick();
     if (idle_skip) try_idle_skip();
-    if (cycle_ >= config_.max_cycles) {
-      return Result<ClusterStats>(ErrorKind::kRuntimeError,
-                                  "kernel exceeded max_cycles=" + std::to_string(config_.max_cycles) +
-                                      " (possible deadlock or runaway loop)");
-    }
+    if (cycle_ >= config_.max_cycles) break;
+  }
+  // Cores still asleep (drained early, or stalled at a max_cycles stop) are
+  // charged up to the last cycle.
+  for (auto& core : cores_) core->wake(cycle_);
+  if (cycle_ >= config_.max_cycles) {
+    return Result<ClusterStats>(ErrorKind::kRuntimeError,
+                                "kernel exceeded max_cycles=" + std::to_string(config_.max_cycles) +
+                                    " (possible deadlock or runaway loop)");
   }
   return collect_stats();
 }

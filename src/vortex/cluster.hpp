@@ -10,7 +10,6 @@
 #include "common/status.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
-#include "mem/interconnect.hpp"
 #include "mem/memory.hpp"
 #include "vortex/core.hpp"
 
@@ -41,16 +40,19 @@ class Cluster {
   // Single-step interface for tests.
   void reset(uint32_t entry_pc);
   // Full return to construction-time state without reallocating anything:
-  // deep-resets every cache/DRAM queue, the interconnect's routing state and
-  // every core (device-reuse contract; DESIGN.md "Device lifecycle"). Only
-  // valid between kernels — reset(entry_pc) remains the per-launch boundary.
+  // deep-resets every cache/DRAM queue and every core (device-reuse
+  // contract; DESIGN.md "Device lifecycle"). Only valid between kernels —
+  // reset(entry_pc) remains the per-launch boundary.
   void hard_reset();
   void tick();
+  // The shared half of a tick at `cycle`: ticks the DRAM and the L2 and
+  // routes their answers into the L1s, whose responses() then hold what
+  // reached them. tick() runs it before the cores' halves.
+  void tick_memory(uint64_t cycle);
   bool busy() const;
   uint64_t cycle() const { return cycle_; }
   // tick() calls over this cluster's lifetime (cycles fast-forwarded by idle
-  // skipping are not ticks). Each core's logic_ticks() + slept_ticks()
-  // equals this.
+  // skipping are not ticks).
   uint64_t ticks() const { return ticks_; }
   ClusterStats collect_stats() const;
   // Per-PC profile merged across cores, plus the cluster-level cache
@@ -62,13 +64,13 @@ class Cluster {
 
  private:
   void trace_counters() const;
+  void route_l2_responses(uint64_t cycle);
   void try_idle_skip();
 
   Config config_;
   mem::MainMemory& gmem_;
   mem::DramModel dram_;
   mem::Cache l2_;
-  mem::Interconnect noc_;
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<std::string> stall_track_names_;  // "stalls.cN" trace tracks
   uint64_t cycle_ = 0;

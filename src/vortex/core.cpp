@@ -33,16 +33,16 @@ constexpr uint32_t kDecodeCacheMaxWords = 1u << 20;
 
 }  // namespace
 
-Core::Core(const Config& config, uint32_t core_id, mem::MainMemory& gmem, mem::MemPort& l2_data,
-           mem::MemPort& l2_inst, EcallHandler ecall_handler)
+Core::Core(const Config& config, uint32_t core_id, mem::MainMemory& gmem, mem::Cache& l2,
+           EcallHandler ecall_handler)
     : config_(config),
       core_id_(core_id),
       gmem_(gmem),
-      l1d_(config.l1d, &l2_data),
-      l1i_(config.l1i, &l2_inst),
+      l1d_(config.l1d, &l2, 2 * core_id),
+      l1i_(config.l1i, &l2, 2 * core_id + 1),
       ecall_handler_(std::move(ecall_handler)),
       warps_(config.warps),
-      xregs_(config.warps * config.threads * 32, 0),
+      xregs_(config.warps * config.threads * kXRows, 0),
       fregs_(config.warps * config.threads * 32, 0),
       lsu_queue_(config.lsu_queue_depth),
       lsu_free_(config.lsu_queue_depth),
@@ -55,47 +55,58 @@ Core::Core(const Config& config, uint32_t core_id, mem::MainMemory& gmem, mem::M
     l1d_.enable_memprof();
     l1i_.enable_memprof();
   }
-  l1d_.set_response_handler([this](uint64_t id, bool /*w*/) {
-    // O(1): the queue slot is in the id's low byte; the token above it
-    // rejects responses addressed to a previous occupant of the slot.
-    // Any response counts as progress, stale ones included: it freed an
-    // L1D MSHR, which can unblock do_lsu (and wakes a sleeping core).
-    progressed_ = true;
-    LsuEntry& entry = lsu_queue_[id & kIdSlotMask];
-    if (!entry.valid || entry.token != (id >> kIdSlotBits)) return;  // stale
-    assert(entry.outstanding > 0);
-    --entry.outstanding;
-    if (entry.outstanding == 0 && entry.lines_pending.empty()) {
-      if (entry.has_rd) {
-        Warp& warp = warps_[entry.warp];
-        if (entry.writes_float) {
-          warp.busy_f &= ~(1u << entry.rd);
-        } else {
-          warp.busy_x &= ~(1u << entry.rd);
-        }
+}
+
+// Answers are taken L1D first, then L1I: each only touches its own side's
+// state (LSU entries and scoreboard vs. fetch slots), so the order between
+// the two lists cannot matter. A sleeping core is charged for its slept
+// cycles first, so the charge samples the state it slept in.
+void Core::take_responses(uint64_t cycle) {
+  wake(cycle);
+  progressed_ = true;
+  for (const uint64_t id : l1d_.responses()) on_data_response(id);
+  l1d_.responses().clear();
+  for (const uint64_t id : l1i_.responses()) on_fetch_response(id);
+  l1i_.responses().clear();
+}
+
+// O(1): the queue slot is in the id's low byte; the token above it rejects
+// responses addressed to a previous occupant of the slot. A stale response
+// still counts as progress: it freed an L1D MSHR, which can unblock do_lsu.
+void Core::on_data_response(uint64_t id) {
+  LsuEntry& entry = lsu_queue_[id & kIdSlotMask];
+  if (!entry.valid || entry.token != (id >> kIdSlotBits)) return;  // stale
+  assert(entry.outstanding > 0);
+  --entry.outstanding;
+  if (entry.outstanding == 0 && entry.lines_pending.empty()) {
+    if (entry.has_rd) {
+      Warp& warp = warps_[entry.warp];
+      if (entry.writes_float) {
+        warp.busy_f &= ~(1u << entry.rd);
+      } else {
+        warp.busy_x &= ~(1u << entry.rd);
       }
-      entry.valid = false;
-      ++lsu_free_;
     }
-  });
-  l1i_.set_response_handler([this](uint64_t id, bool /*w*/) {
-    // O(1): the fetching warp is in the id's low byte; the full id must
-    // match the warp's in-flight fetch (stale responses never do).
-    // As for the L1D: even a stale response freed an L1I MSHR.
-    progressed_ = true;
-    Warp& warp = warps_[id & kIdSlotMask];
-    if (!warp.fetch_pending || warp.fetch_id != id) return;  // stale
-    warp.fetch_pending = false;
-    if (warp.generation != warp.fetch_generation || !warp.active) return;  // stale
-    const DecodedInstr* decoded = decode_at(warp.fetch_pc);
-    if (decoded == nullptr) {
-      FGPU_LOG(kError, "core %u warp %u: invalid instruction at %08x", core_id_,
-               static_cast<uint32_t>(id & kIdSlotMask), warp.fetch_pc);
-      warp.active = false;
-      return;
-    }
-    warp.ibuffer.push(FetchSlot{*decoded, warp.fetch_pc});
-  });
+    entry.valid = false;
+    ++lsu_free_;
+  }
+}
+
+// O(1): the fetching warp is in the id's low byte; the full id must match
+// the warp's in-flight fetch (stale responses never do).
+void Core::on_fetch_response(uint64_t id) {
+  Warp& warp = warps_[id & kIdSlotMask];
+  if (!warp.fetch_pending || warp.fetch_id != id) return;  // stale
+  warp.fetch_pending = false;
+  if (warp.generation != warp.fetch_generation || !warp.active) return;  // stale
+  const DecodedInstr* decoded = decode_at(warp.fetch_pc);
+  if (decoded == nullptr) {
+    FGPU_LOG(kError, "core %u warp %u: invalid instruction at %08x", core_id_,
+             static_cast<uint32_t>(id & kIdSlotMask), warp.fetch_pc);
+    warp.active = false;
+    return;
+  }
+  warp.ibuffer.push(FetchSlot{*decoded, warp.fetch_pc});
 }
 
 void Core::reset(uint32_t entry_pc) {
@@ -103,7 +114,7 @@ void Core::reset(uint32_t entry_pc) {
   std::fill(xregs_.begin(), xregs_.end(), 0u);
   std::fill(fregs_.begin(), fregs_.end(), 0u);
   completions_.clear();
-  completions_min_ready_ = kNoWake;
+  completions_min_ready_ = mem::kNoEvent;
   for (auto& entry : lsu_queue_) entry = LsuEntry{};
   lsu_free_ = config_.lsu_queue_depth;
   lsu_unsent_ = 0;
@@ -153,14 +164,11 @@ bool Core::busy() const {
   for (const auto& warp : warps_) {
     if (warp.active) return true;
   }
-  for (const auto& entry : lsu_queue_) {
-    if (entry.valid) return true;
-  }
-  return !completions_.empty();
+  return lsu_free_ != config_.lsu_queue_depth || !completions_.empty();
 }
 
 uint32_t Core::xreg(uint32_t warp, uint32_t lane, uint32_t index) const {
-  return xregs_[(warp * 32 + index) * config_.threads + lane];
+  return xregs_[(warp * kXRows + index) * config_.threads + lane];
 }
 uint32_t Core::freg_bits(uint32_t warp, uint32_t lane, uint32_t index) const {
   return fregs_[(warp * 32 + index) * config_.threads + lane];
@@ -218,7 +226,10 @@ void Core::run_logic(uint64_t cycle) {
   // this core's own next event: sleep until then (a drained core has no
   // event and sleeps until the end of the run).
   asleep_ = sleep_allowed_ && !progressed_;
-  if (asleep_) wake_cycle_ = next_wake_cycle(cycle);
+  if (asleep_) {
+    sleep_from_ = cycle + 1;
+    wake_cycle_ = next_wake_cycle(cycle);
+  }
 }
 
 // One occupancy-timeline sample: how this core's warp slots are spent.
@@ -248,7 +259,7 @@ void Core::do_writeback(uint64_t cycle) {
   // Completions are unordered (latencies differ); retire by swap-remove —
   // O(1) per retirement, order-independent since retiring only clears
   // scoreboard bits — recomputing the minimum over the survivors.
-  uint64_t min_ready = kNoWake;
+  uint64_t min_ready = mem::kNoEvent;
   for (size_t i = 0; i < completions_.size();) {
     const Completion& c = completions_[i];
     if (c.ready_cycle <= cycle) {
@@ -351,6 +362,7 @@ void Core::fill_issue_metadata(DecodedInstr* d) {
   }
   d->need_x = need_x;
   d->need_f = need_f;
+  d->rd_row = dest_row(instr);
   d->fu = static_cast<uint8_t>(info.fu);
   d->is_lsu = info.fu == arch::FuClass::kLsu;
   d->is_store = instr.op == Op::kSb || instr.op == Op::kSh || instr.op == Op::kSw ||
@@ -490,6 +502,7 @@ void Core::do_issue(uint64_t cycle) {
 
 void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
   const Instr& in = slot.decoded.instr;
+  const uint32_t rd_row = slot.decoded.rd_row;
   const auto& info = arch::op_info(in.op);
   Warp& warp = warps_[w];
   const uint64_t mask = warp.tmask;
@@ -521,7 +534,7 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
   // stored through a uint32_t*, which may alias config_.threads, so reading
   // them through `this` would reload both on every lane.
   const uint32_t threads = config_.threads;
-  uint32_t* const xbase = xregs_.data() + static_cast<size_t>(w) * 32 * threads;
+  uint32_t* const xbase = xregs_.data() + static_cast<size_t>(w) * kXRows * threads;
   uint32_t* const fbase = fregs_.data() + static_cast<size_t>(w) * 32 * threads;
   auto xw = [xbase, threads](uint32_t lane, uint32_t reg) -> uint32_t& {
     return xbase[reg * threads + lane];
@@ -534,26 +547,22 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
 #define FGPU_CORE_EXEC(OP, FN, RD, S1, S2, S3)                                          \
     case Op::k##OP:                                                                     \
       exec_lanes<arch::sem::FN, Opd::RD, Opd::S1, Opd::S2, Opd::S3>(xbase, fbase, threads, \
-                                                                   mask, in, pc);        \
+                                                                   mask, in, rd_row, pc); \
       schedule_rd(Opd::RD == Opd::F);                                                    \
       break;
     FGPU_SEM_OPS(FGPU_CORE_EXEC)
 #undef FGPU_CORE_EXEC
     // ---------------- control flow ----------------
     case Op::kJal:
-      if (in.rd != 0) {
-        for_lanes(mask, threads, [&](uint32_t l) { xw(l, in.rd) = pc + 4; });
-        schedule_rd(false);
-      }
+      for_lanes(mask, threads, [&](uint32_t l) { xw(l, rd_row) = pc + 4; });
+      schedule_rd(false);
       ++perf_.branches;
       redirect(warp, pc + static_cast<uint32_t>(in.imm));
       break;
     case Op::kJalr: {
       const uint32_t target = (xw(lane0, in.rs1) + static_cast<uint32_t>(in.imm)) & ~1u;
-      if (in.rd != 0) {
-        for_lanes(mask, threads, [&](uint32_t l) { xw(l, in.rd) = pc + 4; });
-        schedule_rd(false);
-      }
+      for_lanes(mask, threads, [&](uint32_t l) { xw(l, rd_row) = pc + 4; });
+      schedule_rd(false);
       ++perf_.branches;
       redirect(warp, target);
       break;
@@ -575,7 +584,7 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
     case Op::kCsrrc:
       // Machine-information CSRs are read-only; writes are ignored.
       for_lanes(mask, threads, [&](uint32_t l) {
-        if (in.rd != 0) xw(l, in.rd) = read_csr(static_cast<uint32_t>(in.imm), w, l, cycle);
+        xw(l, rd_row) = read_csr(static_cast<uint32_t>(in.imm), w, l, cycle);
       });
       schedule_rd(false);
       break;
@@ -698,7 +707,7 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
     case Op::kAmoxorW:
     case Op::kAmominW:
     case Op::kAmomaxW:
-      execute_memory(w, in, pc, cycle);
+      execute_memory(w, slot.decoded, pc, cycle);
       break;
     default:
       FGPU_LOG(kError, "core %u: unimplemented op '%s' at %08x", core_id_,
@@ -708,7 +717,9 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
   }
 }
 
-void Core::execute_memory(uint32_t w, const Instr& in, uint32_t pc, uint64_t cycle) {
+void Core::execute_memory(uint32_t w, const DecodedInstr& d, uint32_t pc, uint64_t cycle) {
+  const Instr& in = d.instr;
+  const uint32_t rd = d.rd_row;  // the discard row for x0 (vortex/lanes.hpp)
   Warp& warp = warps_[w];
   const uint64_t mask = warp.tmask;
   const bool is_amo = arch::op_info(in.op).fmt == arch::Format::kAmo;
@@ -731,7 +742,7 @@ void Core::execute_memory(uint32_t w, const Instr& in, uint32_t pc, uint64_t cyc
 
   // Hoisted for the same aliasing reason as in execute().
   const uint32_t threads = config_.threads;
-  uint32_t* const xbase = xregs_.data() + static_cast<size_t>(w) * 32 * threads;
+  uint32_t* const xbase = xregs_.data() + static_cast<size_t>(w) * kXRows * threads;
   uint32_t* const fbase = fregs_.data() + static_cast<size_t>(w) * 32 * threads;
   auto xw = [xbase, threads](uint32_t lane, uint32_t reg) -> uint32_t& {
     return xbase[reg * threads + lane];
@@ -750,25 +761,25 @@ void Core::execute_memory(uint32_t w, const Instr& in, uint32_t pc, uint64_t cyc
     // Functional access now; timing modelled below.
     switch (in.op) {
       case Op::kLb:
-      case Op::kLbu: xw(lane, in.rd) = arch::sem::load_extend(in.op, memory.load8(addr)); break;
+      case Op::kLbu: xw(lane, rd) = arch::sem::load_extend(in.op, memory.load8(addr)); break;
       case Op::kLh:
-      case Op::kLhu: xw(lane, in.rd) = arch::sem::load_extend(in.op, memory.load16(addr)); break;
-      case Op::kLw: xw(lane, in.rd) = memory.load32(addr); break;
-      case Op::kFlw: fw(lane, in.rd) = memory.load32(addr); break;
+      case Op::kLhu: xw(lane, rd) = arch::sem::load_extend(in.op, memory.load16(addr)); break;
+      case Op::kLw: xw(lane, rd) = memory.load32(addr); break;
+      case Op::kFlw: fw(lane, rd) = memory.load32(addr); break;
       case Op::kSb: memory.store8(addr, static_cast<uint8_t>(xw(lane, in.rs2))); break;
       case Op::kSh: memory.store16(addr, static_cast<uint16_t>(xw(lane, in.rs2))); break;
       case Op::kSw: memory.store32(addr, xw(lane, in.rs2)); break;
       case Op::kFsw: memory.store32(addr, fw(lane, in.rs2)); break;
-      case Op::kLrW: xw(lane, in.rd) = memory.load32(addr); break;
+      case Op::kLrW: xw(lane, rd) = memory.load32(addr); break;
       case Op::kScW:
         // Single-context simulation: SC always succeeds.
         memory.store32(addr, xw(lane, in.rs2));
-        xw(lane, in.rd) = 0;
+        xw(lane, rd) = 0;
         break;
       default: {  // AMOs
         const uint32_t old = memory.load32(addr);
         memory.store32(addr, arch::sem::amo(in.op, old, xw(lane, in.rs2)));
-        if (in.rd != 0) xw(lane, in.rd) = old;
+        xw(lane, rd) = old;
         break;
       }
     }
@@ -830,7 +841,6 @@ void Core::execute_memory(uint32_t w, const Instr& in, uint32_t pc, uint64_t cyc
 }
 
 void Core::do_lsu(uint64_t cycle) {
-  (void)cycle;
   if (lsu_unsent_ == 0) return;
   uint32_t sent = 0;
   for (auto& entry : lsu_queue_) {
@@ -840,11 +850,12 @@ void Core::do_lsu(uint64_t cycle) {
     // owner in O(1) with a built-in staleness check.
     const uint64_t slot = static_cast<uint64_t>(&entry - lsu_queue_.data());
     const uint64_t id = (entry.token << kIdSlotBits) | slot;
-    while (!entry.lines_pending.empty() && sent < config_.lsu_ports && l1d_.can_accept()) {
+    while (!entry.lines_pending.empty() && sent < config_.lsu_ports && l1d_.can_accept(cycle)) {
       const uint32_t line = entry.lines_pending.back();
       entry.lines_pending.pop_back();
       l1d_.send(mem::MemRequest{.id = id, .addr = line << mem::kLineShift,
-                                .is_write = entry.is_write, .pc = entry.pc});
+                                .is_write = entry.is_write, .pc = entry.pc},
+                cycle);
       ++entry.outstanding;
       ++sent;
       progressed_ = true;
@@ -875,7 +886,7 @@ void Core::do_fetch(uint64_t cycle) {
       progressed_ = true;
       return;
     }
-    if (!l1i_.can_accept()) return;
+    if (!l1i_.can_accept(cycle)) return;
     // The fetching warp index rides in the id's low byte; the monotonic
     // sequence above it makes the full id unique across redirects/resets.
     const uint64_t id = (next_mem_id_++ << kIdSlotBits) | w;
@@ -883,21 +894,22 @@ void Core::do_fetch(uint64_t cycle) {
     warp.fetch_id = id;
     warp.fetch_pc = warp.pc;
     warp.fetch_generation = warp.generation;
-    l1i_.send(mem::MemRequest{.id = id, .addr = warp.pc, .is_write = false, .pc = warp.pc});
+    l1i_.send(mem::MemRequest{.id = id, .addr = warp.pc, .is_write = false, .pc = warp.pc},
+              cycle);
     warp.pc += 4;
     fetch_rr_ = next_warp(w);
     progressed_ = true;
     return;
   }
-  (void)cycle;
 }
 
-// Earliest future cycle at which this core has a self-scheduled event. The
-// cluster combines this with the memory components' next-event queries to
-// bound an idle-skip window; kNoWake means "waiting on memory only".
+// Earliest future cycle at which this core has a self-scheduled event,
+// taken when the core falls asleep: the cluster combines it with the memory
+// components' next_tick() to bound an idle-skip window; mem::kNoEvent means
+// "waiting on memory only".
 uint64_t Core::next_wake_cycle(uint64_t now) const {
-  uint64_t wake = kNoWake;
-  if (completions_min_ready_ != kNoWake) {
+  uint64_t wake = mem::kNoEvent;
+  if (completions_min_ready_ != mem::kNoEvent) {
     // A completion whose ready cycle already passed still needs a tick to
     // retire (do_writeback runs at most once per cycle).
     wake = std::max(completions_min_ready_, now + 1);
@@ -908,12 +920,12 @@ uint64_t Core::next_wake_cycle(uint64_t now) const {
   return wake;
 }
 
-// Bulk-attributes the `count` skipped cycles [from, from+count). The cluster
-// only skips when no core made progress at cycle `from - 1` and no component
-// has an event before `from + count`, so each skipped cycle would have
-// repeated the previous cycle's issue outcome exactly — charge the same
-// bucket (and profiled PC) `count` times and synthesize the occupancy
-// samples the per-cycle path would have taken at its interval grid points.
+// Bulk-attributes the `count` slept cycles [from, from+count). The core
+// slept because cycle `from - 1` made no progress, and it wakes at the first
+// L1 answer or self-scheduled event, so each slept cycle would have
+// repeated that cycle's issue outcome exactly — charge the same bucket (and
+// profiled PC) `count` times and synthesize the occupancy samples the
+// per-cycle path would have taken at its interval grid points.
 void Core::fast_forward(uint64_t from, uint64_t count) {
   if (count == 0) return;
   switch (last_outcome_) {

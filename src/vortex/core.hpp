@@ -14,9 +14,10 @@
 //  * fixed-capacity ring ibuffers (no per-warp deque allocation churn);
 //  * in-flight fetch/LSU responses keyed by request id (warp / queue slot
 //    encoded in the low bits) instead of linear side-table scans;
-//  * event bookkeeping (next_wake_cycle, progressed) that lets the cluster
-//    fast-forward through cycles where no core can make progress, and lets
-//    a single stalled or drained core sleep while the others keep running.
+//  * event bookkeeping (wake_cycle, asleep) that lets a stalled or drained
+//    core sleep while the others keep running, charged in one batch when
+//    it wakes, and lets the cluster fast-forward through cycles where every
+//    core sleeps and no memory component is due.
 #pragma once
 
 #include <cstdint>
@@ -43,16 +44,13 @@ struct EcallRequest {
 };
 using EcallHandler = std::function<void(const EcallRequest&, mem::MainMemory&)>;
 
-// "No pending event" sentinel for next-wake-up queries (matches
-// mem::kNoEvent; duplicated to keep the header dependency-light).
-inline constexpr uint64_t kNoWake = ~0ull;
-
 class Core {
  public:
-  // `l2_data` / `l2_inst` are distinct interconnect endpoints so that data
-  // and instruction responses route back to the right L1.
-  Core(const Config& config, uint32_t core_id, mem::MainMemory& gmem, mem::MemPort& l2_data,
-       mem::MemPort& l2_inst, EcallHandler ecall_handler);
+  // Both L1s send their misses to `l2`, on link ports 2 * core_id (L1D)
+  // and 2 * core_id + 1 (L1I); the cluster routes the L2's answers back by
+  // that port (mem/timing.hpp).
+  Core(const Config& config, uint32_t core_id, mem::MainMemory& gmem, mem::Cache& l2,
+       EcallHandler ecall_handler);
 
   // Resets all warps; warp 0 starts at `entry_pc` with one active thread
   // (the Vortex boot convention: the startup stub then TMCs/WSPAWNs).
@@ -62,55 +60,54 @@ class Core {
 
   // Full return to construction-time state (device-reuse contract; DESIGN.md
   // "Device lifecycle"): everything reset() does, plus the deep L1 state the
-  // per-launch path leaves behind (pending responses, MSHRs, id counters)
+  // per-launch path leaves behind (pending responses, MSHRs, writebacks)
   // and the memory-request id sequence. Safe only when no traffic is in
   // flight — i.e. between benchmarks, never between the launches of one.
   // Leaves every warp inactive (busy() == false), like a new core.
   void hard_reset();
 
-  // Ticks the core-internal caches (called by the cluster before logic()).
+  // Ticks the L1s and takes their answers, L1D then L1I (the cluster calls
+  // this for every core before any tick_logic). An answer is progress: it
+  // freed an MSHR or delivered data, so it wakes a sleeping core.
   void tick_caches(uint64_t cycle) {
+    progressed_ = false;
     l1d_.tick(cycle);
     l1i_.tick(cycle);
+    if (!l1d_.responses().empty() || !l1i_.responses().empty()) take_responses(cycle);
   }
   // One cycle of pipeline logic: writeback, issue, LSU drain, fetch. A
-  // sleeping core (see allow_sleep) instead charges the cycle through
-  // fast_forward, unless a memory response reached it this cycle or its own
-  // next event is due.
+  // sleeping core (see allow_sleep) is skipped until its wake_cycle().
   void tick_logic(uint64_t cycle) {
-    if (asleep_ && !progressed_ && cycle < wake_cycle_) {
-      ++slept_ticks_;
-      fast_forward(cycle, 1);
-      return;
+    if (asleep_) {
+      if (cycle < wake_cycle_) return;
+      wake(cycle);
     }
     run_logic(cycle);
   }
 
   bool busy() const;
 
-  // --- Event-driven idle skipping (see Cluster::tick) -----------------
-  // Clears the per-cycle progress flag; the cluster calls this before any
-  // component (whose response chains can reach this core) is ticked.
-  void begin_tick() { progressed_ = false; }
-  // Per-core sleep, gated like idle skipping (the cluster enables it per
-  // run; reset() disables it). After a cycle without progress the core's
-  // state is frozen until a memory response arrives or next_wake_cycle()
-  // is reached, so each cycle in between would repeat that cycle's issue
-  // outcome: tick_logic charges it via fast_forward instead of simulating.
+  // --- Per-core sleep and idle skipping (see Cluster::run) -------------
+  // Gated like idle skipping (the cluster enables it per run; reset()
+  // disables it). After a cycle without progress the core's state is
+  // frozen until an L1 answer arrives or wake_cycle() is reached, so each
+  // cycle in between would repeat that cycle's issue outcome. The core
+  // skips them and charges them all through one fast_forward when it wakes.
   void allow_sleep(bool on) { sleep_allowed_ = on; }
-  // True if this core did anything this cycle that could change the next
-  // cycle's behaviour: issued an instruction, initiated a fetch, sent an
-  // LSU line request, or received a memory response.
-  bool progressed() const { return progressed_; }
-  // Earliest future cycle (> now) at which this core has a self-scheduled
-  // event: a completion retiring or a non-pipelined FU becoming ready.
-  // kNoWake when it is waiting purely on external (memory) events.
-  uint64_t next_wake_cycle(uint64_t now) const;
-  // Bulk-attributes `count` skipped cycles [from, from+count) to the stall
-  // bucket charged on the last simulated cycle (state is provably frozen
-  // over the window, so each skipped cycle repeats that attribution), and
-  // synthesizes the occupancy samples the profiler would have taken.
-  void fast_forward(uint64_t from, uint64_t count);
+  bool asleep() const { return asleep_; }
+  // While asleep: the first cycle at which a self-scheduled event (a
+  // completion retiring, a non-pipelined FU freeing) is due; kNoEvent
+  // when only a memory answer can wake the core.
+  uint64_t wake_cycle() const { return wake_cycle_; }
+  // Charges the cycles slept before `cycle` and wakes the core; a no-op
+  // when awake. The cluster calls it at the end of a run for the cores
+  // still asleep (a drained core sleeps until then).
+  void wake(uint64_t cycle) {
+    if (!asleep_) return;
+    fast_forward(sleep_from_, cycle - sleep_from_);
+    slept_ticks_ += cycle - sleep_from_;
+    asleep_ = false;
+  }
 
   const PerfCounters& perf() const { return perf_; }
   PerfCounters& perf() { return perf_; }
@@ -130,9 +127,9 @@ class Core {
   // Decode-cache statistics (tests assert cold/warm behaviour).
   uint64_t decode_cache_hits() const { return decode_hits_; }
   uint64_t decode_cache_fills() const { return decode_fills_; }
-  // tick_logic calls that simulated the pipeline vs. charged a slept cycle;
-  // cumulative like the decode-cache counters. Their sum is the number of
-  // cluster ticks (cycles skipped by Cluster idle skipping are in neither).
+  // Cycles whose pipeline logic was simulated vs. slept cycles charged
+  // through fast_forward, idle-skip windows included; cumulative like the
+  // decode-cache counters. After a run their sum is its cycle count.
   uint64_t logic_ticks() const { return logic_ticks_; }
   uint64_t slept_ticks() const { return slept_ticks_; }
 
@@ -146,11 +143,13 @@ class Core {
 
   // A decoded instruction plus everything the issue stage needs, computed
   // once at decode time instead of per issue attempt: scoreboard masks
-  // (sources + destination, x0 excluded) and the FU routing/latency.
+  // (sources + destination, x0 excluded), the FU routing/latency and the
+  // destination row (the discard row for x0, see vortex/lanes.hpp).
   struct DecodedInstr {
     arch::Instr instr;
     uint32_t need_x = 0;
     uint32_t need_f = 0;
+    uint8_t rd_row = 0;
     uint8_t fu = 0;  // arch::FuClass
     bool is_lsu = false;
     bool is_store = false;
@@ -247,6 +246,17 @@ class Core {
   };
 
   void run_logic(uint64_t cycle);
+  // Bulk-attributes `count` slept cycles [from, from+count) to the stall
+  // bucket charged on the last simulated cycle (state is provably frozen
+  // over the window, so each slept cycle repeats that attribution), and
+  // synthesizes the occupancy samples the profiler would have taken.
+  void fast_forward(uint64_t from, uint64_t count);
+  void take_responses(uint64_t cycle);
+  void on_data_response(uint64_t id);
+  void on_fetch_response(uint64_t id);
+  // Earliest future cycle (> now) at which this core has a self-scheduled
+  // event; mem::kNoEvent when it is waiting purely on memory.
+  uint64_t next_wake_cycle(uint64_t now) const;
   void do_writeback(uint64_t cycle);
   void do_issue(uint64_t cycle);
   void do_lsu(uint64_t cycle);
@@ -262,7 +272,7 @@ class Core {
   // data hazard); sets *stall_reason for attribution.
   bool can_issue(const Warp& warp, const DecodedInstr& instr, uint64_t cycle, int* stall_reason);
   void execute(uint32_t warp_id, const FetchSlot& slot, uint64_t cycle);
-  void execute_memory(uint32_t warp_id, const arch::Instr& instr, uint32_t pc, uint64_t cycle);
+  void execute_memory(uint32_t warp_id, const DecodedInstr& d, uint32_t pc, uint64_t cycle);
   void redirect(Warp& warp, uint32_t new_pc);
   uint32_t next_warp(uint32_t w) const { return w + 1 == config_.warps ? 0 : w + 1; }
   uint32_t read_csr(uint32_t csr, uint32_t warp_id, uint32_t lane, uint64_t cycle) const;
@@ -281,11 +291,11 @@ class Core {
   EcallHandler ecall_handler_;
 
   std::vector<Warp> warps_;
-  std::vector<uint32_t> xregs_;  // [warp][reg][lane], register-major (vortex/lanes.hpp)
+  std::vector<uint32_t> xregs_;  // [warp][kXRows][lane], register-major (vortex/lanes.hpp)
   std::vector<uint32_t> fregs_;
 
   std::vector<Completion> completions_;  // unordered; retired by swap-remove
-  uint64_t completions_min_ready_ = kNoWake;  // min ready_cycle in completions_
+  uint64_t completions_min_ready_ = mem::kNoEvent;  // min ready_cycle in completions_
   std::vector<LsuEntry> lsu_queue_;
   uint32_t lsu_free_ = 0;       // entries with valid == false
   uint32_t lsu_unsent_ = 0;     // valid entries with lines_pending non-empty
@@ -320,9 +330,12 @@ class Core {
   };
   IssueOutcome last_outcome_ = IssueOutcome::kNone;
   uint32_t last_stall_pc_ = 0;
+  // Whether this cycle did anything that could change the next one: issued,
+  // fetched, sent an LSU line request or took an L1 answer.
   bool progressed_ = false;
   bool sleep_allowed_ = false;
   bool asleep_ = false;
+  uint64_t sleep_from_ = 0;  // while asleep_: the first cycle not simulated
   uint64_t wake_cycle_ = 0;  // while asleep_: next_wake_cycle() at sleep time
 
   PerfCounters perf_;

@@ -122,7 +122,7 @@ class TurboCore {
         ecall_handler_(ecall_handler),
         stats_(stats),
         warps_(config.warps),
-        xregs_(config.warps * config.threads * 32, 0),
+        xregs_(config.warps * config.threads * kXRows, 0),
         fregs_(config.warps * config.threads * 32, 0),
         barrier_arrived_(32, 0),
         barrier_expected_(32, 0) {}
@@ -197,14 +197,14 @@ class TurboCore {
   // --- register file --------------------------------------------------------
   // Register-major, [warp][reg][lane], as in core.cpp (vortex/lanes.hpp).
   uint32_t& xr(uint32_t warp, uint32_t lane, uint32_t index) {
-    return xregs_[(warp * 32 + index) * config_.threads + lane];
+    return xregs_[(warp * kXRows + index) * config_.threads + lane];
   }
   // Warp-base pointers for the hot paths: register row r starts at
   // base[r * threads]. Hoisting the base (and the lane count) out of the
   // lane loop matters because register stores are uint32_t writes, which
   // TBAA says may alias config_ fields — without the locals the compiler
   // must re-derive addresses from memory every lane.
-  uint32_t* xwarp(uint32_t w) { return xregs_.data() + w * 32 * config_.threads; }
+  uint32_t* xwarp(uint32_t w) { return xregs_.data() + w * kXRows * config_.threads; }
   uint32_t* fwarp(uint32_t w) { return fregs_.data() + w * 32 * config_.threads; }
   uint32_t nthreads() const { return config_.threads; }
 
@@ -362,7 +362,7 @@ class TurboCore {
   TurboStats& stats_;
 
   std::vector<TWarp> warps_;
-  std::vector<uint32_t> xregs_;  // [warp][reg][lane]
+  std::vector<uint32_t> xregs_;  // [warp][kXRows][lane]
   std::vector<uint32_t> fregs_;
   std::vector<uint32_t> barrier_arrived_;
   std::vector<uint32_t> barrier_expected_;
@@ -469,9 +469,7 @@ __attribute__((noinline)) void exec_other(TurboCore& c, uint32_t w, const TI& i)
     case Op::kCsrrw:
     case Op::kCsrrs:
     case Op::kCsrrc:
-      c.lanes(w, [&](uint32_t l) {
-        if (in.rd != 0) xp_rd[l] = c.read_csr(imm, w, l);
-      });
+      c.lanes(w, [&](uint32_t l) { xp_rd[l] = c.read_csr(imm, w, l); });
       break;
     case Op::kEcall: c.do_ecall(w); break;
     case Op::kFence: break;
@@ -507,7 +505,7 @@ __attribute__((noinline)) void exec_other(TurboCore& c, uint32_t w, const TI& i)
       c.lanes(w, [&](uint32_t l) {
         const uint32_t old = c.load32(xp_rs1[l]);
         c.store32(xp_rs1[l], arch::sem::amo(in.op, old, xp_rs2[l]));
-        if (in.rd != 0) xp_rd[l] = old;
+        xp_rd[l] = old;
       });
       break;
   }
@@ -574,7 +572,12 @@ TurboCore::TranslatedBlock* TurboCore::translate(uint32_t start_pc) {
       }
     }
     if (!fused) {
-      blk->body.push_back(TI{*decoded, pc, code_of(decoded->op)});
+      // An x0 destination becomes the discard row here, once, so no lane
+      // loop tests rd (vortex/lanes.hpp). The fusions above then never
+      // match it: a chain through x0 reads x0 as zero, unfused.
+      Instr in = *decoded;
+      in.rd = dest_row(in);
+      blk->body.push_back(TI{in, pc, code_of(in.op)});
     }
     ++blk->body_retired;
     pc += 4;
@@ -620,7 +623,7 @@ bool TurboCore::run_warp(uint32_t w) {
 #define FGPU_TURBO_EXEC(OP, FN, RD, S1, S2, S3)                                          \
         case code_of(Op::k##OP):                                                         \
           exec_lanes<arch::sem::FN, Opd::RD, Opd::S1, Opd::S2, Opd::S3>(xw, fw, T, mask, in, \
-                                                                       ti.pc);           \
+                                                                       in.rd, ti.pc);    \
           break;
         FGPU_SEM_OPS(FGPU_TURBO_EXEC)
 #undef FGPU_TURBO_EXEC

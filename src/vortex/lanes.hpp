@@ -2,7 +2,9 @@
 // tier. Both keep their register files register-major, [warp][reg][lane]:
 // register r of lane l of a warp lives at base[r * threads + l], so one
 // warp instruction's operand rows are contiguous runs of `threads` words,
-// the layout the lane loops need to autovectorize.
+// the layout the lane loops need to autovectorize. A warp's x file has one
+// row past x31, the discard row: an instruction whose x destination is x0
+// writes there instead, so x0's row stays zero and no lane loop tests rd.
 //
 // Internal linkage for the same reason as arch/semantics.hpp: turbo.cpp and
 // core.cpp compile these templates with different optimization flags, and
@@ -18,6 +20,18 @@ namespace fgpu::vortex {
 namespace {
 
 #define FGPU_LANES_INLINE inline __attribute__((always_inline))
+
+// Rows per warp of the x register file: x0..x31, then the discard row.
+constexpr uint32_t kXRows = 33;
+constexpr uint8_t kDiscardRow = 32;
+
+// The row an instruction's result goes to, chosen once at decode or
+// translate time: the discard row for an x0 destination, else rd (an f
+// destination, f0 included, is a real register). Instructions without a
+// destination never write the row they get.
+inline uint8_t dest_row(const arch::Instr& in) {
+  return in.rd == 0 && !arch::writes_freg(in.op) ? kDiscardRow : in.rd;
+}
 
 // Lowest active lane (0 for an empty mask): the lane whose registers decide
 // a warp-uniform branch, jump or SIMT-control operand.
@@ -58,16 +72,16 @@ FGPU_LANES_INLINE uint32_t operand(const uint32_t* row, uint32_t lane, uint32_t 
 }
 
 // Executes one FGPU_SEM_OPS entry for the active lanes of a warp whose x
-// and f register rows start at `x` and `f`. The rd write is unconditional,
-// x0 included, in every executor.
+// and f register rows start at `x` and `f`, writing register row `rd_row`
+// (dest_row(in): the discard row for x0).
 template <auto Fn, arch::sem::Opd RD, arch::sem::Opd S1, arch::sem::Opd S2, arch::sem::Opd S3>
 FGPU_LANES_INLINE void exec_lanes(uint32_t* x, uint32_t* f, uint32_t threads, uint64_t mask,
-                                  const arch::Instr& in, uint32_t pc) {
+                                  const arch::Instr& in, uint32_t rd_row, uint32_t pc) {
   using arch::sem::Opd;
   auto row = [&](Opd cls, uint8_t reg) -> const uint32_t* {
     return (cls == Opd::X ? x : f) + reg * threads;
   };
-  uint32_t* const rd = (RD == Opd::X ? x : f) + in.rd * threads;
+  uint32_t* const rd = (RD == Opd::X ? x : f) + rd_row * threads;
   const uint32_t* const r1 = row(S1, in.rs1);
   const uint32_t* const r2 = row(S2, in.rs2);
   const uint32_t* const r3 = row(S3, in.rs3);

@@ -173,7 +173,9 @@ TEST(CoreSleepTest, UnevenFinishIsExactWithSleepOnAndOff) {
       const vortex::Core& core = cluster.core(c);
       r.per_core.push_back(core.perf());
       *slept += core.slept_ticks();
-      EXPECT_EQ(core.logic_ticks() + core.slept_ticks(), cluster.ticks()) << "core " << c;
+      // Every cycle is either simulated or charged as slept, idle-skip
+      // windows included.
+      EXPECT_EQ(core.logic_ticks() + core.slept_ticks(), stats->perf.cycles) << "core " << c;
     }
     return r;
   };
@@ -195,9 +197,10 @@ TEST(CoreSleepTest, UnevenFinishIsExactWithSleepOnAndOff) {
 }
 
 // The sleep counters on a suite benchmark: with the gate on a drained or
-// stalled core sleeps (slept > 0), every tick is either simulated or slept,
-// and idle skipping jumps over the rest; with it off, every cycle is a
-// simulated tick.
+// stalled core sleeps (slept > 0), every cycle of every launch is either
+// simulated or charged as slept (idle-skip windows included), and idle
+// skipping means fewer cluster ticks than cycles; with it off, every cycle
+// is a simulated tick.
 TEST(CoreSleepTest, BfsSleepsAndTicksAddUp) {
   Log::level() = LogLevel::kOff;
   const suite::Benchmark bench = suite::make_benchmark("bfs");
@@ -212,7 +215,7 @@ TEST(CoreSleepTest, BfsSleepsAndTicksAddUp) {
     uint64_t slept = 0;
     for (uint32_t c = 0; c < cluster.num_cores(); ++c) {
       const vortex::Core& core = cluster.core(c);
-      EXPECT_EQ(core.logic_ticks() + core.slept_ticks(), cluster.ticks()) << "core " << c;
+      EXPECT_EQ(core.logic_ticks() + core.slept_ticks(), result.total_cycles) << "core " << c;
       slept += core.slept_ticks();
     }
     if (idle_skip) {
@@ -270,98 +273,149 @@ TEST(DecodeCacheTest, WarmRefetchHitsAndResetInvalidates) {
 }
 
 // ---------------------------------------------------------------------------
-// next_event_cycle: the wake-up calculators idle skipping relies on
+// next_tick: the cached wake-up cycles idle skipping relies on
 // ---------------------------------------------------------------------------
 
+// A cache over a DRAM ticked in the cluster's order; sends happen in
+// `cycle`, after its tick (cycle 0 is ticked at construction).
 struct CacheHarness {
-  mem::DramModel dram{mem::DramConfig::ddr4()};
+  mem::DramModel dram;
   mem::Cache cache;
   std::vector<uint64_t> responses;
   uint64_t cycle = 0;
 
-  CacheHarness() : cache(mem::CacheConfig{}, &dram) {
-    cache.set_response_handler([this](uint64_t id, bool) { responses.push_back(id); });
+  explicit CacheHarness(mem::CacheConfig config = {},
+                        mem::DramConfig dram_config = mem::DramConfig::ddr4())
+      : dram(dram_config), cache(config, &dram) {
+    tick_at(0);
+  }
+
+  void tick_at(uint64_t c) {
+    dram.tick(c);
+    for (const uint64_t id : dram.responses()) cache.on_lower_response(id, c);
+    dram.responses().clear();
+    cache.tick(c);
+    responses.insert(responses.end(), cache.responses().begin(), cache.responses().end());
+    cache.responses().clear();
   }
 
   void tick(int n = 1) {
-    for (int i = 0; i < n; ++i) {
-      dram.tick(cycle);
-      cache.tick(cycle);
-      ++cycle;
-    }
+    for (int i = 0; i < n; ++i) tick_at(++cycle);
+  }
+
+  void send(uint64_t id, uint32_t addr, bool write = false) {
+    while (!cache.can_accept(cycle)) tick();
+    cache.send(mem::MemRequest{.id = id, .addr = addr, .is_write = write}, cycle);
   }
 };
 
 TEST(NextEventTest, IdleCacheReportsNoEvent) {
   CacheHarness h;
   h.tick(4);
-  EXPECT_EQ(h.cache.next_event_cycle(), mem::kNoEvent);
-  EXPECT_EQ(h.dram.next_event_cycle(), mem::kNoEvent);
+  EXPECT_EQ(h.cache.next_tick(), mem::kNoEvent);
+  EXPECT_EQ(h.dram.next_tick(), mem::kNoEvent);
 }
 
 TEST(NextEventTest, MissRetriesEveryCycleUntilFillSent) {
   CacheHarness h;
   h.tick();
-  ASSERT_TRUE(h.cache.can_accept());
-  h.cache.send(mem::MemRequest{.id = 1, .addr = 0x1000, .is_write = false});
+  ASSERT_TRUE(h.cache.can_accept(h.cycle));
+  h.cache.send(mem::MemRequest{.id = 1, .addr = 0x1000, .is_write = false}, h.cycle);
   // The miss allocated an MSHR whose fill has not gone to DRAM yet: the
   // cache must be ticked next cycle (its send time depends on back-pressure
-  // the calculator cannot predict).
-  EXPECT_EQ(h.cache.next_event_cycle(), h.cycle);  // now_ + 1 == current loop cycle
+  // the cache cannot predict).
+  EXPECT_EQ(h.cache.next_tick(), h.cycle + 1);
+  h.tick();
+  EXPECT_EQ(h.dram.stats().reads, 1u);  // the fill went out on that tick
+  EXPECT_EQ(h.cache.next_tick(), mem::kNoEvent);
+  EXPECT_GT(h.dram.next_tick(), h.cycle);
 }
 
 TEST(NextEventTest, HitResponseMaturesExactlyAtPredictedCycle) {
   CacheHarness h;
   h.tick();
-  h.cache.send(mem::MemRequest{.id = 1, .addr = 0x1000, .is_write = false});
+  h.cache.send(mem::MemRequest{.id = 1, .addr = 0x1000, .is_write = false}, h.cycle);
   // Drive until the fill response lands (miss path). Once the fill request
   // is queued in DRAM, the pending event belongs to the DRAM, not the cache
-  // (the response propagates back through on_lower_response without a cache
-  // tick) — so the invariant, like the cluster's idle-skip wake-up, is over
-  // the MINIMUM of both components' predictions: it must never lie later
-  // than the cycle the next response actually fires.
+  // (the response reaches it through on_lower_response before its tick) —
+  // so the invariant, like the cluster's idle-skip wake-up, is over the
+  // MINIMUM of both components' next ticks: it must never lie later than
+  // the cycle the next response actually fires.
   while (h.responses.empty()) {
     ASSERT_LT(h.cycle, 10000u);
-    const uint64_t predicted =
-        std::min(h.cache.next_event_cycle(), h.dram.next_event_cycle());
+    const uint64_t predicted = std::min(h.cache.next_tick(), h.dram.next_tick());
     ASSERT_NE(predicted, mem::kNoEvent);
-    const size_t before = h.responses.size();
     h.tick();
-    if (h.responses.size() > before) {
-      EXPECT_GE(h.cycle - 1, predicted);
+    if (!h.responses.empty()) {
+      EXPECT_GE(h.cycle, predicted);
     }
   }
-  // Quiesce, then hit the now-resident line: the prediction must equal the
+  // Quiesce, then hit the now-resident line: the next tick must be the
   // exact maturity cycle of the hit response.
   h.tick(4);
-  ASSERT_EQ(h.cache.next_event_cycle(), mem::kNoEvent);
+  ASSERT_EQ(h.cache.next_tick(), mem::kNoEvent);
   h.responses.clear();
-  h.cache.send(mem::MemRequest{.id = 2, .addr = 0x1000, .is_write = false});
-  const uint64_t predicted = h.cache.next_event_cycle();
+  h.cache.send(mem::MemRequest{.id = 2, .addr = 0x1000, .is_write = false}, h.cycle);
+  const uint64_t predicted = h.cache.next_tick();
   ASSERT_NE(predicted, mem::kNoEvent);
   while (h.responses.empty()) {
     ASSERT_LT(h.cycle, predicted + 10);
     h.tick();
   }
-  EXPECT_EQ(h.cycle - 1, predicted);  // response fired on the predicted cycle
+  EXPECT_EQ(h.cycle, predicted);  // response fired on the predicted cycle
 }
 
 TEST(NextEventTest, DramFrontOfQueueIsTheEarliestEvent) {
   mem::DramModel dram{mem::DramConfig::ddr4()};
-  std::vector<uint64_t> responses;
-  dram.set_response_handler([&](uint64_t id, bool) { responses.push_back(id); });
   uint64_t cycle = 0;
-  dram.tick(cycle++);
-  ASSERT_TRUE(dram.can_accept());
-  dram.send(mem::MemRequest{.id = 7, .addr = 0x2000, .is_write = false});
-  const uint64_t predicted = dram.next_event_cycle();
+  dram.tick(cycle);
+  ASSERT_TRUE(dram.can_accept(cycle));
+  dram.send(mem::MemRequest{.id = 7, .addr = 0x2000, .is_write = false}, cycle);
+  const uint64_t predicted = dram.next_tick();
   ASSERT_NE(predicted, mem::kNoEvent);
-  while (responses.empty()) {
+  while (dram.responses().empty()) {
     ASSERT_LT(cycle, predicted + 10);
-    dram.tick(cycle++);
+    dram.tick(++cycle);
   }
-  EXPECT_EQ(cycle - 1, predicted);
-  EXPECT_EQ(dram.next_event_cycle(), mem::kNoEvent);
+  EXPECT_EQ(cycle, predicted);
+  EXPECT_EQ(dram.responses(), std::vector<uint64_t>{7});
+  EXPECT_EQ(dram.next_tick(), mem::kNoEvent);
+}
+
+// Cycles restart at 0 on every launch, so a component's cached next tick
+// from the last launch means nothing in the next one. A writeback queued
+// by a fill but not yet sent when the launch ends must go out at the next
+// launch's cycle 0, as it would had the cache been ticked every cycle.
+TEST(NextEventTest, LaunchBoundaryReevaluatesAtCycleZero) {
+  mem::CacheConfig config;
+  config.size_bytes = 256;  // 16 lines of 16 B
+  config.ways = 2;
+  CacheHarness h(config);
+  const uint32_t set_stride = config.num_sets() * mem::kLineBytes;
+  h.send(1, 0x0, /*write=*/true);  // dirty line A
+  h.send(2, set_stride);           // line B, same set
+  while (h.responses.size() < 2) h.tick();
+  // Line C (same set) evicts dirty A when its fill lands. Deliver the fill
+  // by hand and end the launch before the cache's tick of that cycle.
+  h.send(3, 2 * set_stride);
+  h.tick();  // the fill goes to DRAM
+  ASSERT_EQ(h.dram.stats().reads, 3u);
+  uint64_t c = h.cycle;
+  while (h.dram.responses().empty()) h.dram.tick(++c);
+  for (const uint64_t id : h.dram.responses()) h.cache.on_lower_response(id, c);
+  h.dram.responses().clear();
+  EXPECT_EQ(h.cache.stats().writebacks, 1u);
+  EXPECT_EQ(h.cache.next_tick(), c);  // the writeback is due this cycle
+  // Launch boundary (Cluster::reset): stats reset, cycles restart at 0.
+  h.cache.flush();
+  h.cache.reset_stats();
+  h.dram.reset_stats();
+  EXPECT_EQ(h.cache.next_tick(), 0u);
+  EXPECT_EQ(h.dram.next_tick(), 0u);
+  h.dram.tick(0);
+  h.cache.tick(0);
+  EXPECT_EQ(h.dram.stats().writes, 1u);  // sent at the new launch's cycle 0
+  EXPECT_EQ(h.cache.next_tick(), mem::kNoEvent);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Memory-hierarchy tests: functional main memory, cache hit/miss/MSHR
-// behaviour, writebacks, DRAM latency/bandwidth, and interconnect routing.
+// behaviour, writebacks, DRAM latency/bandwidth, and the cluster's routing
+// of L2 answers to the L1 ports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,9 +9,9 @@
 #include "arch/isa.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
-#include "mem/interconnect.hpp"
 #include "mem/memory.hpp"
 #include "mem/memprof.hpp"
+#include "vortex/cluster.hpp"
 
 namespace fgpu::mem {
 namespace {
@@ -103,34 +104,42 @@ TEST(MainMemoryTest, FillAndClear) {
   EXPECT_EQ(memory.load8(0x2000), 0u);
 }
 
-// Harness that drives a cache over a DRAM and collects responses.
+// Harness that drives a cache over a DRAM and collects responses, in the
+// cluster's order: DRAM tick, its answers into the cache, cache tick. Sends
+// happen in `cycle`, after its tick (cycle 0 is ticked at construction).
 struct Harness {
   DramModel dram{DramConfig::ddr4()};
   Cache cache;
   std::vector<uint64_t> responses;
   uint64_t cycle = 0;
 
-  explicit Harness(CacheConfig config = CacheConfig{}) : cache(config, &dram) {
-    cache.set_response_handler([this](uint64_t id, bool) { responses.push_back(id); });
+  explicit Harness(CacheConfig config = CacheConfig{}) : cache(config, &dram) { tick_at(0); }
+
+  void tick_at(uint64_t c) {
+    dram.tick(c);
+    for (const uint64_t id : dram.responses()) cache.on_lower_response(id, c);
+    dram.responses().clear();
+    cache.tick(c);
+    responses.insert(responses.end(), cache.responses().begin(), cache.responses().end());
+    cache.responses().clear();
   }
 
   void tick(int n = 1) {
-    for (int i = 0; i < n; ++i) {
-      dram.tick(cycle);
-      cache.tick(cycle);
-      ++cycle;
-    }
+    for (int i = 0; i < n; ++i) tick_at(++cycle);
   }
+
+  bool can_accept() const { return cache.can_accept(cycle); }
+  void send(const MemRequest& req) { cache.send(req, cycle); }
 
   // Sends when accepted; returns cycles waited.
   int send(uint64_t id, uint32_t addr, bool write = false) {
     int waited = 0;
-    while (!cache.can_accept()) {
+    while (!can_accept()) {
       tick();
       ++waited;
       EXPECT_LT(waited, 10000) << "cache never accepted";
     }
-    cache.send(MemRequest{.id = id, .addr = addr, .is_write = write});
+    send(MemRequest{.id = id, .addr = addr, .is_write = write});
     return waited;
   }
 
@@ -224,35 +233,34 @@ TEST(CacheTest, BackPressureWhenMshrsFull) {
   CacheConfig config;
   config.mshrs = 2;
   Harness h(config);
-  ASSERT_TRUE(h.cache.can_accept());
-  h.cache.send(MemRequest{.id = 1, .addr = 0x5000});
-  h.cache.send(MemRequest{.id = 2, .addr = 0x6000});
+  ASSERT_TRUE(h.can_accept());
+  h.send(MemRequest{.id = 1, .addr = 0x5000});
+  h.send(MemRequest{.id = 2, .addr = 0x6000});
   // Port limit: one accept per cycle already consumed... tick to refresh.
   h.tick();
-  EXPECT_FALSE(h.cache.can_accept());  // both MSHRs pending
+  EXPECT_FALSE(h.can_accept());  // both MSHRs pending
   h.drain_until(2);
   h.tick();
-  EXPECT_TRUE(h.cache.can_accept());
+  EXPECT_TRUE(h.can_accept());
 }
 
 TEST(CacheTest, PortLimitOneAcceptPerCycle) {
   Harness h;
   h.tick();
-  ASSERT_TRUE(h.cache.can_accept());
-  h.cache.send(MemRequest{.id = 1, .addr = 0x100});
-  EXPECT_FALSE(h.cache.can_accept());  // port consumed this cycle
+  ASSERT_TRUE(h.can_accept());
+  h.send(MemRequest{.id = 1, .addr = 0x100});
+  EXPECT_FALSE(h.can_accept());  // port consumed this cycle
   h.tick();
-  EXPECT_TRUE(h.cache.can_accept());
+  EXPECT_TRUE(h.can_accept());
 }
 
 TEST(DramTest, FixedLatency) {
   DramModel dram(DramConfig{"test", 50, 1, 1, 8});
-  uint64_t done_cycle = 0;
-  dram.set_response_handler([&](uint64_t, bool) { done_cycle = 1; });
   dram.tick(0);
-  dram.send(MemRequest{.id = 1, .addr = 0});
+  dram.send(MemRequest{.id = 1, .addr = 0}, 0);
   uint64_t cycle = 0;
-  while (done_cycle == 0 && cycle < 200) dram.tick(++cycle);
+  while (dram.responses().empty() && cycle < 200) dram.tick(++cycle);
+  ASSERT_EQ(dram.responses(), std::vector<uint64_t>{1});
   EXPECT_GE(cycle, 50u);
   EXPECT_LE(cycle, 60u);
 }
@@ -260,13 +268,14 @@ TEST(DramTest, FixedLatency) {
 TEST(DramTest, BandwidthOneLinePerCyclePerChannel) {
   DramModel dram(DramConfig{"test", 10, 1, 1, 32});
   int responses = 0;
-  dram.set_response_handler([&](uint64_t, bool) { ++responses; });
   uint64_t cycle = 0;
   int sent = 0;
   while (responses < 16 && cycle < 500) {
     dram.tick(cycle);
-    if (sent < 16 && dram.can_accept()) {
-      dram.send(MemRequest{.id = static_cast<uint64_t>(sent), .addr = 0});
+    responses += static_cast<int>(dram.responses().size());
+    dram.responses().clear();
+    if (sent < 16 && dram.can_accept(cycle)) {
+      dram.send(MemRequest{.id = static_cast<uint64_t>(sent), .addr = 0}, cycle);
       ++sent;
     }
     ++cycle;
@@ -283,24 +292,45 @@ TEST(DramTest, Hbm2HasMoreChannels) {
   EXPECT_DOUBLE_EQ(dram.peak_lines_per_cycle(), 8.0);
 }
 
-TEST(InterconnectTest, RoutesResponsesToTheRightPort) {
-  DramModel dram(DramConfig{"test", 5, 1, 4, 32});
-  Interconnect noc(&dram);
-  MemPort* port_a = noc.new_port();
-  MemPort* port_b = noc.new_port();
-  std::vector<uint64_t> got_a, got_b;
-  port_a->set_response_handler([&](uint64_t id, bool) { got_a.push_back(id); });
-  port_b->set_response_handler([&](uint64_t id, bool) { got_b.push_back(id); });
-  dram.tick(0);
-  port_a->send(MemRequest{.id = 100, .addr = 0});
-  port_b->send(MemRequest{.id = 100, .addr = 16});  // same requester id, different port
-  port_a->send(MemRequest{.id = 101, .addr = 32});
-  for (uint64_t cycle = 1; cycle < 40; ++cycle) dram.tick(cycle);
-  ASSERT_EQ(got_a.size(), 2u);
-  ASSERT_EQ(got_b.size(), 1u);
-  EXPECT_EQ(got_a[0], 100u);
-  EXPECT_EQ(got_a[1], 101u);
-  EXPECT_EQ(got_b[0], 100u);
+// The cluster routes each L2 answer by the L1 port riding in its id
+// (2 * core + {0 L1D, 1 L1I}), so requester ids only need to be unique per
+// L1: two cores' L1Ds use the same id, and core 0's L1D and L1I each get
+// back only their own answers.
+TEST(ClusterRoutingTest, RoutesL2AnswersToTheRightL1) {
+  MainMemory memory;
+  vortex::Cluster cluster(vortex::Config::with(2, 1, 1), memory);
+  Cache& d0 = cluster.core(0).l1d();
+  Cache& i0 = cluster.core(0).l1i();
+  Cache& d1 = cluster.core(1).l1d();
+  cluster.tick_memory(0);
+  d0.tick(0);
+  i0.tick(0);
+  d1.tick(0);
+  d0.send(MemRequest{.id = 100, .addr = 0x1000}, 0);
+  i0.send(MemRequest{.id = 100, .addr = 0x2000}, 0);
+  d1.send(MemRequest{.id = 100, .addr = 0x3000}, 0);  // same requester id, other core
+  std::vector<uint64_t> got_d0, got_i0, got_d1;
+  for (uint64_t cycle = 1; cycle < 2000; ++cycle) {
+    cluster.tick_memory(cycle);
+    for (auto [cache, got] : {std::pair{&d0, &got_d0}, {&i0, &got_i0}, {&d1, &got_d1}}) {
+      cache->tick(cycle);
+      got->insert(got->end(), cache->responses().begin(), cache->responses().end());
+      cache->responses().clear();
+    }
+    if (cycle == 1) d0.send(MemRequest{.id = 101, .addr = 0x4000}, cycle);
+  }
+  ASSERT_EQ(got_d0.size(), 2u);
+  ASSERT_EQ(got_i0.size(), 1u);
+  ASSERT_EQ(got_d1.size(), 1u);
+  EXPECT_EQ(got_d0[0], 100u);
+  EXPECT_EQ(got_d0[1], 101u);
+  EXPECT_EQ(got_i0[0], 100u);
+  EXPECT_EQ(got_d1[0], 100u);
+  // Each L1 missed once per request and the L2 saw one fill per line.
+  EXPECT_EQ(d0.stats().misses, 2u);
+  EXPECT_EQ(i0.stats().misses, 1u);
+  EXPECT_EQ(d1.stats().misses, 1u);
+  EXPECT_EQ(cluster.collect_stats().l2.reads, 4u);
 }
 
 // Parameterized property: a burst of reads through any cache geometry
@@ -435,11 +465,11 @@ TEST(CacheProfilerTest, ExactSumContractsMatchCacheStats) {
 TEST(CacheProfilerTest, MergedMissInheritsPrimaryClass) {
   Harness h;
   h.cache.enable_memprof();
-  while (!h.cache.can_accept()) h.tick();
-  h.cache.send(MemRequest{.id = 1, .addr = 0x2000, .is_write = false, .pc = 0x100});
+  while (!h.can_accept()) h.tick();
+  h.send(MemRequest{.id = 1, .addr = 0x2000, .is_write = false, .pc = 0x100});
   h.tick();
-  while (!h.cache.can_accept()) h.tick();
-  h.cache.send(MemRequest{.id = 2, .addr = 0x2008, .is_write = false, .pc = 0x104});
+  while (!h.can_accept()) h.tick();
+  h.send(MemRequest{.id = 2, .addr = 0x2008, .is_write = false, .pc = 0x104});
   h.drain_until(2);
   ASSERT_EQ(h.cache.stats().mshr_merges, 1u);
   const CacheMemProfile p = h.cache.memprof_snapshot(h.cycle);
@@ -493,18 +523,20 @@ TEST(DramTest, MemprofCountsRequestsAndOccupancyPerChannel) {
   dram.enable_memprof();
   dram.set_trace_id(3);  // distinct counter-track name per cluster
   int responses = 0;
-  dram.set_response_handler([&](uint64_t, bool) { ++responses; });
   uint64_t cycle = 0;
   dram.tick(cycle);
   int sent = 0;
   while (responses < 8 && cycle < 500) {
-    if (sent < 8 && dram.can_accept()) {
+    if (sent < 8 && dram.can_accept(cycle)) {
       dram.send(MemRequest{.id = static_cast<uint64_t>(sent),
                            .addr = static_cast<uint32_t>(sent * 16),
-                           .is_write = (sent % 2) == 1});
+                           .is_write = (sent % 2) == 1},
+                cycle);
       ++sent;
     }
     dram.tick(++cycle);
+    responses += static_cast<int>(dram.responses().size());
+    dram.responses().clear();
   }
   ASSERT_EQ(responses, 8);
   const DramMemProfile p = dram.memprof_snapshot(cycle);

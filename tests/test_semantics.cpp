@@ -483,5 +483,44 @@ INSTANTIATE_TEST_SUITE_P(AllOps, SemOpSweep, ::testing::ValuesIn(op_cases()),
                            return std::string(info.param.name);
                          });
 
+// x0 is hardwired to zero on both tiers: an ALU result, a load and a CSR
+// read aimed at x0 are discarded, so x0 still reads 0 afterwards.
+TEST(SemanticsTest, WritesToX0AreDiscardedOnBothTiers) {
+  auto prog = vasm::assemble(R"(
+    li t1, )" + std::to_string(kOutBase) + R"(
+    li t2, 77
+    sw t2, 16(t1)
+    addi x0, x0, 5
+    addi t0, x0, 0
+    sw t0, 0(t1)
+    lw x0, 16(t1)
+    sw x0, 4(t1)
+    csrr x0, 0xFC0
+    sw x0, 8(t1)
+    tmc zero
+  )");
+  ASSERT_TRUE(prog.is_ok()) << prog.status().to_string();
+  const auto config = vortex::Config::with(1, 1, 4);
+  auto check = [&](const mem::MainMemory& memory, const char* tier) {
+    EXPECT_EQ(memory.load32(kOutBase), 0u) << tier << ": addi x0 stuck";
+    EXPECT_EQ(memory.load32(kOutBase + 4), 0u) << tier << ": lw x0 stuck";
+    EXPECT_EQ(memory.load32(kOutBase + 8), 0u) << tier << ": csrr x0 stuck";
+    EXPECT_EQ(memory.load32(kOutBase + 16), 77u) << tier;
+  };
+
+  mem::MainMemory cycle_mem;
+  cycle_mem.write(prog->base, prog->words.data(), prog->size_bytes());
+  vortex::Cluster cluster(config, cycle_mem);
+  ASSERT_TRUE(cluster.run(prog->entry()).is_ok());
+  check(cycle_mem, "cycle-exact");
+  EXPECT_EQ(cluster.core(0).xreg(0, 0, 0), 0u);
+
+  mem::MainMemory turbo_mem;
+  turbo_mem.write(prog->base, prog->words.data(), prog->size_bytes());
+  vortex::jit::TurboEngine engine(config, turbo_mem);
+  ASSERT_TRUE(engine.run(prog->entry()).is_ok());
+  check(turbo_mem, "turbo");
+}
+
 }  // namespace
 }  // namespace fgpu
