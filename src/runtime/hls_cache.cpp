@@ -1,6 +1,5 @@
 #include "runtime/hls_cache.hpp"
 
-#include <chrono>
 #include <utility>
 
 #include "kir/digest.hpp"
@@ -52,7 +51,6 @@ std::shared_ptr<const HlsCache::Entry> HlsCache::synthesize(const kir::Kernel& k
   // Miss: expand + synthesize unlocked (the expensive part), insert
   // first-wins. Both synthesize and expand_builtins are pure functions of
   // (kernel, board, options), so racing entries are interchangeable.
-  const auto t0 = std::chrono::steady_clock::now();
   auto entry = std::make_shared<Entry>();
   entry->kernel = kir::clone_kernel(kernel);
   kir::expand_builtins(entry->kernel);
@@ -68,12 +66,9 @@ std::shared_ptr<const HlsCache::Entry> HlsCache::synthesize(const kir::Kernel& k
     // exactly the Table II "does not fit" data points.
     entry->failed_synth = hls::synth_report(entry->kernel, board);
   }
-  const double ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
 
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.misses;
-  stats_.synth_ms += ms;
   auto [it, inserted] = entries_.emplace(key, std::move(entry));
   (void)inserted;  // on a race the earlier insert wins; ours was equivalent
   return it->second;

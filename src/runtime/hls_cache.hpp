@@ -29,8 +29,6 @@ namespace fgpu::vcl {
 struct HlsCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;  // one per actual synthesis run
-  double synth_ms = 0;  // host wall spent inside hls::synthesize (model time,
-                        // not the modelled synthesis_hours)
 };
 
 class HlsCache {

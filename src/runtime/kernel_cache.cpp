@@ -1,7 +1,5 @@
 #include "runtime/kernel_cache.hpp"
 
-#include <chrono>
-
 #include "kir/digest.hpp"
 
 namespace fgpu::vcl {
@@ -65,10 +63,7 @@ KernelCache::Entry KernelCache::compile(const kir::Kernel& kernel,
 
   // Miss: compile unlocked (the expensive part; parallel workers must not
   // serialize here), then insert first-wins.
-  const auto t0 = std::chrono::steady_clock::now();
   auto compiled = codegen::compile_kernel(kernel, options);
-  const double ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
 
   auto entry = std::make_shared<Entry>();
   if (compiled.is_ok()) {
@@ -80,7 +75,6 @@ KernelCache::Entry KernelCache::compile(const kir::Kernel& kernel,
 
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.misses;
-  stats_.compile_ms += ms;
   auto [it, inserted] = entries_.emplace(key, entry);
   // On a race the earlier insert wins; both entries are identical by the
   // purity argument in the header, so returning ours is equivalent.

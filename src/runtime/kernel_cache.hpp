@@ -31,12 +31,11 @@
 
 namespace fgpu::vcl {
 
-// Host-side counters of the cache (exported as fgpu.host.v1 "reuse" fields;
-// never part of any byte-gated document).
+// Host-side counters of the cache (suite::ReuseStats; never part of any
+// byte-gated document).
 struct KernelCacheStats {
   uint64_t hits = 0;
-  uint64_t misses = 0;    // one per actual compile (racing misses all count)
-  double compile_ms = 0;  // wall spent inside codegen::compile_kernel
+  uint64_t misses = 0;  // one per actual compile (racing misses all count)
 };
 
 class KernelCache {

@@ -49,7 +49,8 @@ class TurboDevice final : public Device {
   void clear_console() override { console_.clear(); }
 
   const vortex::Config& config() const { return config_; }
-  // Cumulative translation/dispatch counters (fgpu.host.v1 "turbo" detail).
+  // Cumulative translation/dispatch counters (the stats "turbo_jit" block
+  // is the per-benchmark delta).
   const vortex::jit::TurboStats& jit_stats() const { return engine_->stats(); }
   // Direct access for tests.
   mem::MainMemory& memory() { return memory_; }

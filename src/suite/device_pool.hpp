@@ -4,7 +4,7 @@
 // Device::reset(), and check it back in. Correctness rests on the reset()
 // contract (DESIGN.md "Device lifecycle"): a reset device produces
 // bit-identical outputs AND cycle counts to a freshly constructed one, so
-// pooling is observable only in fgpu.host.v1 (setup_ms, device_reuse_count)
+// pooling is observable only in host time and ReuseStats::device_reuse_count
 // — never in the byte-gated suite documents.
 //
 // The pool is keyed by an identity string digesting everything that flows
@@ -59,7 +59,7 @@ class DevicePool {
   // them with Device::reset() before use.
   void release(const std::string& identity, DeviceSet set);
 
-  // Total devices handed out warm (fgpu.host.v1 "reuse" metric).
+  // Total devices handed out warm (ReuseStats::device_reuse_count).
   uint64_t reuse_count() const;
 
   // Distinct identities currently holding pooled sets.

@@ -30,13 +30,6 @@ double elapsed_ms(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-DseStageHost stage_host(Clock::time_point t0, size_t count) {
-  DseStageHost h;
-  h.wall_ms = elapsed_ms(t0);
-  h.configs_per_sec = h.wall_ms > 0.0 ? static_cast<double>(count) * 1000.0 / h.wall_ms : 0.0;
-  return h;
-}
-
 // Work-stealing fan-out: runs fn(i) for i in [0, count) on up to `jobs`
 // threads. fn writes into pre-sized slots, so the result is independent of
 // the interleaving.
@@ -359,7 +352,7 @@ DseResult run_dse(const DseOptions& options) {
       ++r.analytical_survivors;
     }
   }
-  r.host_analytical = stage_host(t1, r.grid_total);
+  r.host_analytical.wall_ms = elapsed_ms(t1);
 
   // --- stage 2: functional screen, deduplicated by (C, W, T) shape -------
   const auto t2 = Clock::now();
@@ -422,7 +415,7 @@ DseResult run_dse(const DseOptions& options) {
       if (job.ok) ++r.screen_survivors;
     }
   }
-  r.host_screen = stage_host(t2, r.shapes_screened);
+  r.host_screen.wall_ms = elapsed_ms(t2);
 
   // --- stage 3: cycle-exact slice ----------------------------------------
   const auto t3 = Clock::now();
@@ -490,7 +483,7 @@ DseResult run_dse(const DseOptions& options) {
     }
     if (cand.sim_ok) ++r.exact_ok;
   }
-  r.host_exact = stage_host(t3, r.exact_selected);
+  r.host_exact.wall_ms = elapsed_ms(t3);
 
   // Ranking fidelity of the analytical stage over the evaluated slice.
   std::vector<double> predicted, simulated;
@@ -581,22 +574,6 @@ void write_dse_json(std::ostream& os, const DseOptions& options, const DseResult
     w.end_object();
   }
   w.end_array();
-
-  if (options.host_in_stats) {
-    // Host wall-clock: nondeterministic, opt-in only (fgpu.host.v1 rule) so
-    // the default document stays byte-comparable.
-    w.key("host").begin_object();
-    auto stage = [&w](const char* name, const DseStageHost& h) {
-      w.key(name).begin_object();
-      w.field("wall_ms", h.wall_ms);
-      w.field("configs_per_sec", h.configs_per_sec);
-      w.end_object();
-    };
-    stage("analytical", result.host_analytical);
-    stage("screen", result.host_screen);
-    stage("exact", result.host_exact);
-    w.end_object();
-  }
   w.end_object();
   os << "\n";
 }

@@ -23,8 +23,8 @@
 //
 // The exported fgpu.dse.v1 document is byte-identical across --jobs and
 // fresh-vs-pooled devices: candidate order is the canonical grid order,
-// results are written into pre-sized slots, and host wall-clock throughput
-// is quarantined behind the host_in_stats opt-in (the fgpu.host.v1 rule).
+// results are written into pre-sized slots, and no host wall-clock time is
+// written.
 #pragma once
 
 #include <cstdint>
@@ -54,9 +54,6 @@ struct DseOptions {
   // devices. Off = fresh everything; the exported document is identical
   // either way (the reset() contract, asserted in tests/test_dse.cpp).
   bool reuse_devices = true;
-  // Embed per-stage wall-clock + configs/sec in the document. Default off:
-  // host timing is nondeterministic and would break the byte-gate.
-  bool host_in_stats = false;
   // External device pool for cross-run reuse (nullptr = a run-local pool,
   // capped at 2*jobs+2 identities, when reuse_devices is set).
   DevicePool* pool = nullptr;
@@ -90,11 +87,10 @@ struct DseCandidate {
   bool pareto = false;            // on the (cycles, utilization) frontier
 };
 
-// Host-side throughput of one funnel stage (fgpu.host.v1-class data; only
-// exported under DseOptions::host_in_stats).
+// Host wall-clock of one funnel stage. Never exported: host timing is
+// nondeterministic and would break the byte-gate.
 struct DseStageHost {
   double wall_ms = 0.0;
-  double configs_per_sec = 0.0;
 };
 
 struct DseResult {
@@ -179,8 +175,7 @@ std::vector<std::vector<ExactCell>> run_exact_grid(const std::vector<ExactPoint>
 // Runs the full three-stage funnel.
 DseResult run_dse(const DseOptions& options);
 
-// fgpu.dse.v1 exporter (schema-versioned, OBSERVABILITY.md). Deterministic
-// modulo the host_in_stats opt-in.
+// fgpu.dse.v1 exporter (schema-versioned, OBSERVABILITY.md). Deterministic.
 void write_dse_json(std::ostream& os, const DseOptions& options, const DseResult& result);
 
 }  // namespace fgpu::suite

@@ -30,12 +30,6 @@ inline constexpr const char* kStatsSchema = "fgpu.stats.v1";
 // OBSERVABILITY.md "Profiles" for the field-by-field schema).
 inline constexpr const char* kProfileSchema = "fgpu.profile.v1";
 
-// Version tag of the host-throughput export (fgpu-run --host-json; see
-// OBSERVABILITY.md "Host throughput"). Host wall-clock lives in its own
-// document — never in fgpu.stats.v1, whose determinism contract (byte-
-// identical across --jobs and hosts) forbids any host-time field.
-inline constexpr const char* kHostSchema = "fgpu.host.v1";
-
 // Version tag of the HLS per-site profile export (fgpu-run --hlsprof; see
 // OBSERVABILITY.md "HLS profiles"): per-access-site stall/occupancy
 // attribution with KIR provenance plus the structured synthesis report.
@@ -59,8 +53,7 @@ inline constexpr const char* kCodegenSchema = "fgpu.codegen.v1";
 // (analytical prune -> turbo screen -> cycle-exact slice), the evaluated
 // slice with predicted vs simulated cycles, the (cycles, utilization)
 // Pareto frontier, and the Spearman rank correlation of the analytical
-// model. Byte-identical across --jobs and fresh-vs-pooled devices; host
-// throughput appears only under the host_in_stats opt-in.
+// model. Byte-identical across --jobs and fresh-vs-pooled devices.
 inline constexpr const char* kDseSchema = "fgpu.dse.v1";
 
 // Which sections of a LaunchStats/DeviceRun are meaningful.

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <regex>
-#include <string_view>
 #include <thread>
 
 #include "runtime/hls_cache.hpp"
@@ -65,10 +63,6 @@ Result<std::vector<std::string>> filter_names(const std::string& regex) {
 }
 
 namespace {
-
-double ms_since(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-}
 
 // Per-benchmark delta of the engine-cumulative turbo counters. With device
 // pooling the engine's totals span every benchmark the device has run, so
@@ -153,18 +147,13 @@ void run_one(const RunnerOptions& options, DevicePool* pool, const std::string& 
     codegen_options.opt_level = options.opt_level;
     codegen_options.collect_remarks = options.capture_remarks || options.remark_hotspots > 0;
     codegen_options.ablate = options.ablate;
-    const auto s0 = std::chrono::steady_clock::now();
     if (set.vortex == nullptr) {
       set.vortex = std::make_unique<vcl::VortexDevice>(config, board, codegen_options);
     } else {
       set.vortex->reset();
-      outcome.vortex_reused = true;
     }
-    outcome.vortex_setup_ms = ms_since(s0);
     outcome.vortex_device = set.vortex->name();
-    const auto t0 = std::chrono::steady_clock::now();
     outcome.vortex = run_benchmark(*set.vortex, bench, expected.get());
-    outcome.vortex_wall_ms = ms_since(t0) - outcome.vortex.build_host_ms;
     outcome.ran_vortex = true;
   }
   if (options.run_turbo) {
@@ -178,33 +167,25 @@ void run_one(const RunnerOptions& options, DevicePool* pool, const std::string& 
     codegen_options.opt_level = options.opt_level;
     codegen_options.collect_remarks = options.capture_remarks || options.remark_hotspots > 0;
     codegen_options.ablate = options.ablate;
-    const auto s0 = std::chrono::steady_clock::now();
     if (set.turbo == nullptr) {
       set.turbo = std::make_unique<vcl::TurboDevice>(options.vortex_config, board, codegen_options);
     } else {
       set.turbo->reset();
-      outcome.turbo_reused = true;
     }
-    outcome.turbo_setup_ms = ms_since(s0);
     outcome.turbo_device = set.turbo->name();
     const vortex::jit::TurboStats jit_before = set.turbo->jit_stats();
-    const auto t0 = std::chrono::steady_clock::now();
     outcome.turbo = run_benchmark(*set.turbo, bench, expected.get());
-    outcome.turbo_wall_ms = ms_since(t0) - outcome.turbo.build_host_ms;
     outcome.turbo_jit = jit_delta(set.turbo->jit_stats(), jit_before);
     outcome.ran_turbo = true;
   }
   if (options.run_hls) {
     const fpga::Board& board =
         options.hls_board != nullptr ? *options.hls_board : fpga::stratix10_mx2100();
-    const auto s0 = std::chrono::steady_clock::now();
     if (set.hls == nullptr) {
       set.hls = std::make_unique<vcl::HlsDevice>(board);
     } else {
       set.hls->reset();
-      outcome.hls_reused = true;
     }
-    outcome.hls_setup_ms = ms_since(s0);
     if (options.capture_memprof) {
       // Shadow the read path with the soft-GPU L1D geometry so the locality
       // view is directly comparable across the two flows.
@@ -212,9 +193,7 @@ void run_one(const RunnerOptions& options, DevicePool* pool, const std::string& 
                            options.vortex_config.l1d.ways);
     }
     outcome.hls_device = set.hls->name();
-    const auto t0 = std::chrono::steady_clock::now();
     outcome.hls = run_benchmark(*set.hls, bench, expected.get());
-    outcome.hls_wall_ms = ms_since(t0) - outcome.hls.build_host_ms;
     outcome.ran_hls = true;
   }
 
@@ -282,10 +261,8 @@ Result<SuiteRunResult> run_all(const RunnerOptions& options) {
   const WorkloadCacheStats wc1 = workload_cache_stats();
   result.reuse.kernel_cache_hits = kc1.hits - kc0.hits;
   result.reuse.kernel_cache_misses = kc1.misses - kc0.misses;
-  result.reuse.compile_ms = kc1.compile_ms - kc0.compile_ms;
   result.reuse.hls_cache_hits = hc1.hits - hc0.hits;
   result.reuse.hls_cache_misses = hc1.misses - hc0.misses;
-  result.reuse.synth_ms = hc1.synth_ms - hc0.synth_ms;
   result.reuse.workload_cache_hits = wc1.hits - wc0.hits;
   result.reuse.workload_cache_misses = wc1.misses - wc0.misses;
   result.reuse.reference_cache_hits = wc1.reference_hits - wc0.reference_hits;
@@ -322,13 +299,6 @@ void write_stats_json(std::ostream& os, const RunnerOptions& options,
   w.begin_object();
   w.field("schema", kStatsSchema);
   write_suite_header(w, options, result);
-  if (options.host_in_stats) {
-    // Opt-in only (see RunnerOptions::host_in_stats): these bytes vary per
-    // machine and run, so default documents stay byte-comparable.
-    w.key("host").begin_object();
-    w.field("wall_ms", result.wall_ms);
-    w.end_object();
-  }
   w.key("benchmarks").begin_array();
   for (const auto& outcome : result.outcomes) {
     w.begin_object();
@@ -356,14 +326,6 @@ void write_stats_json(std::ostream& os, const RunnerOptions& options,
     if (outcome.ran_hls) {
       w.key("hls");
       write_json(w, outcome.hls, DeviceKind::kHls, outcome.hls_device);
-    }
-    if (options.host_in_stats && outcome.ran_vortex) {
-      w.key("host").begin_object();
-      w.field("vortex_wall_ms", outcome.vortex_wall_ms);
-      const double secs = outcome.vortex_wall_ms / 1e3;
-      w.field("vortex_mips",
-              secs > 0.0 ? static_cast<double>(outcome.vortex.total_instrs) / 1e6 / secs : 0.0);
-      w.end_object();
     }
     w.end_object();
   }
@@ -588,246 +550,6 @@ void write_codegen_json(std::ostream& os, const RunnerOptions& options,
       w.end_object();
     }
     w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  os << '\n';
-}
-
-namespace {
-
-double median_of(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const size_t n = values.size();
-  if (n == 0) return 0.0;
-  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2.0;
-}
-
-// Simulated throughput over a host wall time: millions of X per second.
-double rate_per_sec(uint64_t count, double wall_ms) {
-  if (wall_ms <= 0.0) return 0.0;
-  return static_cast<double>(count) / 1e6 / (wall_ms / 1e3);
-}
-
-}  // namespace
-
-void write_host_json(std::ostream& os, const RunnerOptions& options,
-                     const std::vector<const SuiteRunResult*>& repeats) {
-  trace::JsonWriter w(os, /*pretty=*/true);
-  w.begin_object();
-  w.field("schema", kHostSchema);
-  const SuiteRunResult& primary = *repeats.front();
-  write_suite_header(w, options, primary);
-  w.field("jobs", static_cast<uint64_t>(options.jobs));
-  w.field("repeats", static_cast<uint64_t>(repeats.size()));
-  w.field("reuse_devices", options.reuse_devices);
-
-  // Warm-repeat pairing (see runner.hpp): with several repeats, minima are
-  // taken over repeats[1:] only — repeat 0 pays cold compiles and turbo
-  // translation and is reported via the *_warmup fields instead.
-  const size_t warm_start = repeats.size() > 1 ? 1 : 0;
-
-  // Reuse machinery activity, summed over the repeats. On a pooled
-  // --repeat run kernel_cache_hits and device_reuse_count must be > 0
-  // (tools/check_baseline.py --host-fields gates on this).
-  {
-    ReuseStats total;
-    for (const SuiteRunResult* run : repeats) {
-      total.device_reuse_count += run->reuse.device_reuse_count;
-      total.kernel_cache_hits += run->reuse.kernel_cache_hits;
-      total.kernel_cache_misses += run->reuse.kernel_cache_misses;
-      total.hls_cache_hits += run->reuse.hls_cache_hits;
-      total.hls_cache_misses += run->reuse.hls_cache_misses;
-      total.workload_cache_hits += run->reuse.workload_cache_hits;
-      total.workload_cache_misses += run->reuse.workload_cache_misses;
-      total.reference_cache_hits += run->reuse.reference_cache_hits;
-      total.reference_cache_misses += run->reuse.reference_cache_misses;
-      total.compile_ms += run->reuse.compile_ms;
-      total.synth_ms += run->reuse.synth_ms;
-    }
-    w.key("reuse").begin_object();
-    w.field("device_reuse_count", total.device_reuse_count);
-    w.field("kernel_cache_hits", total.kernel_cache_hits);
-    w.field("kernel_cache_misses", total.kernel_cache_misses);
-    w.field("hls_cache_hits", total.hls_cache_hits);
-    w.field("hls_cache_misses", total.hls_cache_misses);
-    w.field("workload_cache_hits", total.workload_cache_hits);
-    w.field("workload_cache_misses", total.workload_cache_misses);
-    w.field("reference_cache_hits", total.reference_cache_hits);
-    w.field("reference_cache_misses", total.reference_cache_misses);
-    w.field("compile_ms", total.compile_ms);
-    w.field("synth_ms", total.synth_ms);
-    w.end_object();
-  }
-
-  // Suite totals: wall time per repeat, plus min/median (--repeat smooths
-  // host noise so numbers are comparable across PRs; see tools/
-  // check_baseline.py's non-gating host comparison).
-  std::vector<double> walls;
-  walls.reserve(repeats.size());
-  for (const SuiteRunResult* run : repeats) walls.push_back(run->wall_ms);
-  uint64_t total_cycles = 0, total_instrs = 0;
-  for (const auto& outcome : primary.outcomes) {
-    if (outcome.ran_vortex && outcome.vortex.ok()) {
-      total_cycles += outcome.vortex.total_cycles;
-      total_instrs += outcome.vortex.total_instrs;
-    }
-  }
-  const double wall_min = *std::min_element(walls.begin(), walls.end());
-  w.key("suite_wall_ms").begin_object();
-  w.field("min", wall_min);
-  w.field("median", median_of(walls));
-  w.key("all").begin_array();
-  for (const double ms : walls) w.value(ms);
-  w.end_array();
-  w.end_object();
-  w.field("vortex_total_cycles", total_cycles);
-  w.field("vortex_total_instrs", total_instrs);
-  // Suite-level rates use the min wall (the least-noise estimate of the
-  // machine's actual throughput).
-  w.field("vortex_mcps", rate_per_sec(total_cycles, wall_min));
-  w.field("vortex_mips", rate_per_sec(total_instrs, wall_min));
-
-  // Turbo (functional tier) totals, present only when the tier ran. The
-  // headline speedup compares *execution* time only — host wall spent inside
-  // Device::launch() (DeviceRun::launch_host_ms, min over repeats per
-  // benchmark) — because the costs around a launch (guest-code compilation,
-  // workload generation, buffer transfer, verification) are identical for
-  // both tiers and would dilute the ratio into a measurement of the harness
-  // rather than the tiers. Summed over the benchmarks where BOTH tiers ran
-  // and passed, so a missing or failing row cannot skew the ratio.
-  bool any_turbo = false;
-  for (const auto& outcome : primary.outcomes) any_turbo |= outcome.ran_turbo;
-  if (any_turbo) {
-    uint64_t turbo_instrs = 0;
-    double turbo_wall = 0.0, turbo_launch = 0.0;
-    double vortex_launch_paired = 0.0, turbo_launch_paired = 0.0;
-    double vortex_launch_warmup = 0.0, turbo_launch_warmup = 0.0;
-    for (size_t i = 0; i < primary.outcomes.size(); ++i) {
-      const auto& outcome = primary.outcomes[i];
-      if (!outcome.ran_turbo || !outcome.turbo.ok()) continue;
-      // Mins over the warm repeats only (reused devices, hot kernel cache,
-      // retained turbo translations) — the steady-state dispatch cost.
-      double best = repeats[warm_start]->outcomes[i].turbo_wall_ms;
-      double best_launch = repeats[warm_start]->outcomes[i].turbo.launch_host_ms;
-      for (size_t r = warm_start; r < repeats.size(); ++r) {
-        best = std::min(best, repeats[r]->outcomes[i].turbo_wall_ms);
-        best_launch = std::min(best_launch, repeats[r]->outcomes[i].turbo.launch_host_ms);
-      }
-      turbo_instrs += outcome.turbo.total_instrs;
-      turbo_wall += best;
-      turbo_launch += best_launch;
-      if (outcome.ran_vortex && outcome.vortex.ok()) {
-        double vx_launch = repeats[warm_start]->outcomes[i].vortex.launch_host_ms;
-        for (size_t r = warm_start; r < repeats.size(); ++r) {
-          vx_launch = std::min(vx_launch, repeats[r]->outcomes[i].vortex.launch_host_ms);
-        }
-        vortex_launch_paired += vx_launch;
-        turbo_launch_paired += best_launch;
-        // Repeat 0's launches on the same benchmark set: the cold cost the
-        // warm minima exclude (includes turbo's block translation).
-        vortex_launch_warmup += outcome.vortex.launch_host_ms;
-        turbo_launch_warmup += outcome.turbo.launch_host_ms;
-      }
-    }
-    w.field("turbo_total_instrs", turbo_instrs);
-    w.field("turbo_wall_ms", turbo_wall);
-    w.field("turbo_mips", rate_per_sec(turbo_instrs, turbo_wall));
-    w.field("turbo_launch_ms", turbo_launch);
-    w.field("turbo_dispatch_mips", rate_per_sec(turbo_instrs, turbo_launch));
-    w.field("vortex_launch_ms_paired", vortex_launch_paired);
-    w.field("turbo_launch_ms_paired", turbo_launch_paired);
-    w.field("turbo_speedup_over_vortex",
-            turbo_launch_paired > 0.0 ? vortex_launch_paired / turbo_launch_paired : 0.0);
-    // First-pass (warm-up) launches, reported separately so the paired
-    // ratio above stays warm-vs-warm. Equal to the paired sums when only
-    // one repeat ran.
-    w.field("vortex_launch_ms_warmup", vortex_launch_warmup);
-    w.field("turbo_launch_ms_warmup", turbo_launch_warmup);
-  }
-
-  // Per-benchmark wall times: min over repeats, per device. The repeats all
-  // ran the same canonical benchmark list, so index i is the same
-  // benchmark in every run.
-  w.key("benchmarks").begin_array();
-  for (size_t i = 0; i < primary.outcomes.size(); ++i) {
-    const auto& outcome = primary.outcomes[i];
-    w.begin_object();
-    w.field("name", outcome.name);
-    if (outcome.ran_vortex) {
-      double best = repeats[warm_start]->outcomes[i].vortex_wall_ms;
-      double best_launch = repeats[warm_start]->outcomes[i].vortex.launch_host_ms;
-      for (size_t r = warm_start; r < repeats.size(); ++r) {
-        best = std::min(best, repeats[r]->outcomes[i].vortex_wall_ms);
-        best_launch = std::min(best_launch, repeats[r]->outcomes[i].vortex.launch_host_ms);
-      }
-      w.key("vortex").begin_object();
-      w.field("ok", outcome.vortex.ok());
-      w.field("wall_ms", best);
-      w.field("launch_ms", best_launch);
-      // Cold-path split of repeat 0: device construction-or-reset and
-      // Device::build (compile or kernel-cache hit), excluded from wall_ms.
-      w.field("setup_ms", outcome.vortex_setup_ms);
-      w.field("build_ms", outcome.vortex.build_host_ms);
-      w.field("reused", outcome.vortex_reused);
-      w.field("cycles", outcome.vortex.total_cycles);
-      w.field("instrs", outcome.vortex.total_instrs);
-      w.field("mcps", rate_per_sec(outcome.vortex.total_cycles, best));
-      w.field("mips", rate_per_sec(outcome.vortex.total_instrs, best));
-      {
-        // Reference side of the turbo-vs-vortex digest cross-check
-        // (check_baseline.py --turbo-digests).
-        char digest[19];
-        std::snprintf(digest, sizeof(digest), "0x%016llx",
-                      static_cast<unsigned long long>(outcome.vortex.output_digest));
-        w.field("output_digest", std::string_view(digest));
-      }
-      w.end_object();
-    }
-    if (outcome.ran_turbo) {
-      double best = repeats[warm_start]->outcomes[i].turbo_wall_ms;
-      double best_launch = repeats[warm_start]->outcomes[i].turbo.launch_host_ms;
-      for (size_t r = warm_start; r < repeats.size(); ++r) {
-        best = std::min(best, repeats[r]->outcomes[i].turbo_wall_ms);
-        best_launch = std::min(best_launch, repeats[r]->outcomes[i].turbo.launch_host_ms);
-      }
-      w.key("turbo").begin_object();
-      w.field("ok", outcome.turbo.ok());
-      w.field("wall_ms", best);
-      w.field("launch_ms", best_launch);
-      w.field("setup_ms", outcome.turbo_setup_ms);
-      w.field("build_ms", outcome.turbo.build_host_ms);
-      w.field("reused", outcome.turbo_reused);
-      w.field("instrs", outcome.turbo.total_instrs);
-      w.field("mips", rate_per_sec(outcome.turbo.total_instrs, best));
-      w.field("dispatch_mips", rate_per_sec(outcome.turbo.total_instrs, best_launch));
-      w.field("blocks_translated", outcome.turbo_jit.blocks_translated);
-      w.field("block_cache_hit_rate", outcome.turbo_jit.hit_rate());
-      {
-        // Digest here too: the turbo-vs-vortex cross-check gate
-        // (check_baseline.py --turbo-digests) reads host documents.
-        char digest[19];
-        std::snprintf(digest, sizeof(digest), "0x%016llx",
-                      static_cast<unsigned long long>(outcome.turbo.output_digest));
-        w.field("output_digest", std::string_view(digest));
-      }
-      w.end_object();
-    }
-    if (outcome.ran_hls) {
-      double best = repeats[warm_start]->outcomes[i].hls_wall_ms;
-      for (size_t r = warm_start; r < repeats.size(); ++r) {
-        best = std::min(best, repeats[r]->outcomes[i].hls_wall_ms);
-      }
-      w.key("hls").begin_object();
-      w.field("ok", outcome.hls.ok());
-      w.field("wall_ms", best);
-      w.field("setup_ms", outcome.hls_setup_ms);
-      w.field("build_ms", outcome.hls.build_host_ms);
-      w.field("reused", outcome.hls_reused);
-      w.field("cycles", outcome.hls.total_cycles);
-      w.end_object();
-    }
     w.end_object();
   }
   w.end_array();

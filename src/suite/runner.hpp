@@ -78,18 +78,12 @@ struct RunnerOptions {
   // part of the kernel-cache key). Used by the optimizer-regression
   // experiments (fgpu-run --ablate=...).
   codegen::Options::PassAblation ablate;
-  // Opt-in: embed host wall-clock / simulated-MIPS fields into the stats
-  // JSON. Default off because fgpu.stats.v1's determinism contract forbids
-  // host-dependent bytes (byte-identical across --jobs, machines, and the
-  // BENCH_table1.json baseline). Prefer write_host_json (fgpu.host.v1),
-  // which quarantines host metrics in their own document.
-  bool host_in_stats = false;
   // Device + workload reuse (the fast path). Workers re-arm pooled devices
   // with Device::reset() instead of constructing fresh ones, and benchmarks
   // come from the process-wide workload cache. reset()'s contract makes
-  // this observable only in fgpu.host.v1; every byte-gated document is
-  // identical either way (CI's fresh-vs-pooled cmp gate). --fresh turns it
-  // off — the A/B reference path.
+  // this observable only in host time and ReuseStats; every byte-gated
+  // document is identical either way (CI's fresh-vs-pooled cmp gate).
+  // --fresh turns it off — the A/B reference path.
   bool reuse_devices = true;
   // Externally owned pool kept warm across run_all calls (fgpu-run
   // --repeat: repeat N reuses repeat N-1's devices, which is where the
@@ -115,25 +109,10 @@ struct BenchmarkOutcome {
   // (deterministic: warp scheduling is single-threaded round-robin).
   vortex::jit::TurboStats turbo_jit;
   std::unique_ptr<trace::Sink> trace;  // set when capture_trace
-  // Host wall-clock of each device run, EXCLUDING build time (split into
-  // DeviceRun::build_host_ms) and device setup below. NOT serialized into
-  // the stats JSON (determinism contract) — exported via write_host_json.
-  double vortex_wall_ms = 0.0;
-  double hls_wall_ms = 0.0;
-  double turbo_wall_ms = 0.0;
-  // Host wall-clock of device setup: construction (cold) or Device::reset()
-  // (pooled), per tier. fgpu.host.v1 "setup_ms".
-  double vortex_setup_ms = 0.0;
-  double hls_setup_ms = 0.0;
-  double turbo_setup_ms = 0.0;
-  // Whether the tier ran on a pool-recycled device (fgpu.host.v1 "reused").
-  bool vortex_reused = false;
-  bool hls_reused = false;
-  bool turbo_reused = false;
 };
 
 // Reuse-machinery counters of one run_all call (deltas of the process-wide
-// caches over the run, plus the pool's hand-outs). fgpu.host.v1 "reuse".
+// caches over the run, plus the pool's hand-outs).
 struct ReuseStats {
   uint64_t device_reuse_count = 0;      // devices handed out warm
   uint64_t kernel_cache_hits = 0;       // compiled-kernel cache (vortex+turbo)
@@ -144,8 +123,6 @@ struct ReuseStats {
   uint64_t workload_cache_misses = 0;
   uint64_t reference_cache_hits = 0;    // memoized interpreter oracle
   uint64_t reference_cache_misses = 0;
-  double compile_ms = 0.0;  // wall inside codegen::compile_kernel this run
-  double synth_ms = 0.0;    // wall inside hls::synthesize this run
 };
 
 struct SuiteRunResult {
@@ -153,7 +130,7 @@ struct SuiteRunResult {
   // Host wall-clock of the whole run. Intentionally NOT serialized: the
   // stats JSON must be identical across --jobs values.
   double wall_ms = 0.0;
-  // Cache/pool activity during this run (host document only).
+  // Cache/pool activity during this run (never serialized).
   ReuseStats reuse;
 
   int vortex_passes() const;
@@ -228,21 +205,5 @@ void write_suite_header(trace::JsonWriter& w, const RunnerOptions& options,
 // Merges per-benchmark trace sinks into one Chrome trace_event file
 // (pid = benchmark position, process name = benchmark name).
 void write_trace_json(std::ostream& os, const SuiteRunResult& result);
-
-// Serializes host-throughput measurements to the fgpu.host.v1 schema:
-// per-benchmark wall times with simulated MIPS / Mcycle-per-second rates,
-// per-benchmark setup_ms/build_ms splits, suite totals (min/median over
-// repeats) and the run's reuse counters (kernel/HLS/workload cache
-// hit-miss, device_reuse_count, compile_ms/synth_ms).
-// `repeats` holds one SuiteRunResult per --repeat iteration; the first is
-// the primary run whose stats/profile were exported. With more than one
-// repeat, per-benchmark minima are taken over the WARM repeats only
-// (repeats[1:], reused devices + hot caches); repeat 0 — which pays cold
-// compilation and turbo translation — is reported separately as the
-// *_launch_ms_warmup suite fields, keeping turbo_speedup_over_vortex an
-// apples-to-apples warm-vs-warm ratio. Host wall-clock is deliberately
-// quarantined in this document — see OBSERVABILITY.md.
-void write_host_json(std::ostream& os, const RunnerOptions& options,
-                     const std::vector<const SuiteRunResult*>& repeats);
 
 }  // namespace fgpu::suite

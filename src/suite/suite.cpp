@@ -225,11 +225,7 @@ DeviceRun run_benchmark(vcl::Device& device, const Benchmark& bench,
   DeviceRun result;
   device.clear_console();
 
-  const auto build_t0 = std::chrono::steady_clock::now();
   result.build = device.build(bench.module);
-  result.build_host_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - build_t0)
-          .count();
   for (const auto& info : device.build_info()) {
     result.area += info.area;
     result.synthesis_hours += info.synthesis_hours;

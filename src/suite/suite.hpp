@@ -176,16 +176,10 @@ struct DeviceRun {
   double total_time_ms = 0.0;
   // Host wall-clock spent inside Device::launch() calls only — excludes
   // build/synthesis, workload generation, buffer transfer and verification.
-  // This is the denominator of the execution-tier throughput comparison
-  // (fgpu.host.v1 "dispatch" rates): the shared fixed costs around a launch
-  // are identical across devices and would otherwise dilute the ratio.
+  // Read by bench/micro_components: the shared fixed costs around a launch
+  // are identical across devices and would otherwise dilute a comparison of
+  // execution tiers.
   double launch_host_ms = 0.0;
-  // Host wall-clock spent inside Device::build() — guest-code compilation
-  // (or a KernelCache hit) on the soft-GPU tiers, synthesis (or an HlsCache
-  // hit) on HLS. Reported as "build_ms" in fgpu.host.v1 and EXCLUDED from
-  // the per-benchmark wall_ms there, so run-time comparisons are not
-  // diluted by one-time build cost.
-  double build_host_ms = 0.0;
   vcl::LaunchStats last;  // stats of the final launch
   fpga::AreaReport area;  // HLS: summed module area
   double synthesis_hours = 0.0;

@@ -30,9 +30,9 @@
 
 namespace fgpu::vortex::jit {
 
-// Counters of the translation/dispatch machinery (exported into
-// fgpu.host.v1's "turbo" sections — see OBSERVABILITY.md). Purely
-// host-side bookkeeping; none of these is a timing claim.
+// Counters of the translation/dispatch machinery (exported as the stats
+// document's "turbo_jit" block — see OBSERVABILITY.md). Purely host-side
+// bookkeeping; none of these is a timing claim.
 struct TurboStats {
   uint64_t instrs = 0;              // guest instructions retired
   uint64_t blocks_translated = 0;   // block-cache fills

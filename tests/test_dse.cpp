@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/log.hpp"
+#include "same_document.hpp"
 #include "suite/device_pool.hpp"
 #include "suite/dse.hpp"
 #include "suite/suite.hpp"
@@ -127,10 +128,10 @@ TEST(DseDeterminismTest, DocumentIdenticalAcrossJobsAndPooling) {
   fresh.reuse_devices = false;
 
   const std::string doc = render(jobs1);
-  EXPECT_EQ(doc, render(jobs4));
-  EXPECT_EQ(doc, render(fresh));
+  test::expect_same_document(doc, render(jobs4), "dse --jobs=1 vs 4");
+  test::expect_same_document(doc, render(fresh), "dse pooled vs fresh");
   EXPECT_NE(doc.find("\"schema\": \"fgpu.dse.v1\""), std::string::npos);
-  // Host wall-clock stays quarantined unless opted in.
+  // No host wall-clock in the document.
   EXPECT_EQ(doc.find("\"host\""), std::string::npos);
 }
 

@@ -12,6 +12,7 @@
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "runtime/vortex_device.hpp"
+#include "same_document.hpp"
 #include "suite/report.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
@@ -61,10 +62,10 @@ TEST(IdleSkipTest, SuiteIsCycleExactWithSkippingOnAndOff) {
   std::ostringstream stats_off, stats_on, prof_off, prof_on;
   suite::write_stats_json(stats_off, options_off, *off);
   suite::write_stats_json(stats_on, options_on, *on);
-  EXPECT_EQ(stats_off.str(), stats_on.str());
+  test::expect_same_document(stats_off.str(), stats_on.str(), "stats idle skip off vs on");
   suite::write_profile_json(prof_off, options_off, *off);
   suite::write_profile_json(prof_on, options_on, *on);
-  EXPECT_EQ(prof_off.str(), prof_on.str());
+  test::expect_same_document(prof_off.str(), prof_on.str(), "profile idle skip off vs on");
 }
 
 // The same A/B at two non-default shapes with a non-default L1D geometry
@@ -112,10 +113,10 @@ TEST(IdleSkipTest, NonDefaultShapesMatchWithMemprof) {
     std::ostringstream prof_off, prof_on, mem_off, mem_on;
     suite::write_profile_json(prof_off, options_off, *off);
     suite::write_profile_json(prof_on, options_on, *on);
-    EXPECT_EQ(prof_off.str(), prof_on.str());
+    test::expect_same_document(prof_off.str(), prof_on.str(), "profile idle skip off vs on");
     suite::write_mem_json(mem_off, options_off, *off);
     suite::write_mem_json(mem_on, options_on, *on);
-    EXPECT_EQ(mem_off.str(), mem_on.str());
+    test::expect_same_document(mem_off.str(), mem_on.str(), "mem idle skip off vs on");
   }
 }
 

@@ -13,6 +13,7 @@
 #include "runtime/kernel_cache.hpp"
 #include "runtime/turbo_device.hpp"
 #include "runtime/vortex_device.hpp"
+#include "same_document.hpp"
 #include "suite/compare.hpp"
 #include "suite/device_pool.hpp"
 #include "suite/runner.hpp"
@@ -41,7 +42,6 @@ TEST(KernelCache, HitReturnsSharedEntryAndCounts) {
   const auto after = cache.stats();
   EXPECT_EQ(after.misses, before.misses + 1);
   EXPECT_GE(after.hits, before.hits + 1);
-  EXPECT_GT(after.compile_ms, before.compile_ms);
 
   // A different target identity must not alias, even for the same kernel
   // and options (the DESIGN.md cache-key contract).
@@ -306,15 +306,17 @@ TEST(DeviceLifecycle, SuiteDocsByteIdenticalPooledVsFresh) {
       writer(os, options, result);
       return os.str();
     };
-    EXPECT_EQ(doc(write_stats_json, *pooled), doc(write_stats_json, *fresh))
-        << "-O" << opt_level;
-    EXPECT_EQ(doc(write_profile_json, *pooled), doc(write_profile_json, *fresh))
-        << "-O" << opt_level;
-    EXPECT_EQ(doc(write_hlsprof_json, *pooled), doc(write_hlsprof_json, *fresh))
-        << "-O" << opt_level;
-    EXPECT_EQ(doc(write_compare_json, *pooled), doc(write_compare_json, *fresh))
-        << "-O" << opt_level;
-    EXPECT_EQ(doc(write_mem_json, *pooled), doc(write_mem_json, *fresh)) << "-O" << opt_level;
+    const std::string level = " pooled vs fresh -O" + std::to_string(opt_level);
+    test::expect_same_document(doc(write_stats_json, *pooled), doc(write_stats_json, *fresh),
+                               "stats" + level);
+    test::expect_same_document(doc(write_profile_json, *pooled), doc(write_profile_json, *fresh),
+                               "profile" + level);
+    test::expect_same_document(doc(write_hlsprof_json, *pooled), doc(write_hlsprof_json, *fresh),
+                               "hlsprof" + level);
+    test::expect_same_document(doc(write_compare_json, *pooled), doc(write_compare_json, *fresh),
+                               "compare" + level);
+    test::expect_same_document(doc(write_mem_json, *pooled), doc(write_mem_json, *fresh),
+                               "mem" + level);
   }
 }
 
@@ -334,23 +336,24 @@ TEST(DeviceLifecycle, WarmPoolAcrossRunsHitsCachesAndKeepsBytes) {
   auto warm = run_all(options);
   ASSERT_TRUE(warm.is_ok());
 
-  EXPECT_GT(warm->reuse.device_reuse_count, 0u);
+  // Every device run of the warm pass got a pooled device.
+  uint64_t device_runs = 0;
+  for (const auto& outcome : warm->outcomes) {
+    device_runs += outcome.ran_vortex + outcome.ran_hls + outcome.ran_turbo;
+  }
+  EXPECT_EQ(device_runs, 3 * warm->outcomes.size());
+  EXPECT_EQ(warm->reuse.device_reuse_count, device_runs);
   // Every kernel of the warm run was compiled in the cold run under the
-  // same options/target: all cache hits, no compile wall.
+  // same options/target: all cache hits, no compile.
   EXPECT_GT(warm->reuse.kernel_cache_hits, 0u);
   EXPECT_EQ(warm->reuse.kernel_cache_misses, 0u);
   EXPECT_EQ(warm->reuse.hls_cache_misses, 0u);
   EXPECT_EQ(warm->reuse.workload_cache_misses, 0u);
-  for (const auto& outcome : warm->outcomes) {
-    EXPECT_TRUE(outcome.vortex_reused) << outcome.name;
-    EXPECT_TRUE(outcome.hls_reused) << outcome.name;
-    EXPECT_TRUE(outcome.turbo_reused) << outcome.name;
-  }
 
   std::ostringstream cold_json, warm_json;
   write_stats_json(cold_json, options, *cold);
   write_stats_json(warm_json, options, *warm);
-  EXPECT_EQ(cold_json.str(), warm_json.str());
+  test::expect_same_document(cold_json.str(), warm_json.str(), "stats cold vs warm pool");
 }
 
 }  // namespace

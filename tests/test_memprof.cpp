@@ -9,6 +9,7 @@
 
 #include "arch/isa.hpp"
 #include "common/log.hpp"
+#include "same_document.hpp"
 #include "suite/report.hpp"
 #include "suite/runner.hpp"
 
@@ -42,7 +43,7 @@ TEST(MemProf, MemJsonIsByteIdenticalAcrossJobCounts) {
   std::ostringstream parallel_json;
   write_mem_json(parallel_json, options, *parallel);
 
-  EXPECT_EQ(serial_json.str(), parallel_json.str());
+  test::expect_same_document(serial_json.str(), parallel_json.str(), "mem --jobs=1 vs 4");
   EXPECT_NE(serial_json.str().find(std::string("\"schema\": \"") + kMemSchema + "\""),
             std::string::npos);
 }
@@ -68,7 +69,7 @@ TEST(MemProf, StatsJsonIsByteIdenticalWithMemprofOnOrOff) {
   options.capture_memprof = false;
   write_stats_json(on_json, options, *on);
 
-  EXPECT_EQ(off_json.str(), on_json.str());
+  test::expect_same_document(off_json.str(), on_json.str(), "stats memprof off vs on");
 }
 
 // Event-driven idle skipping freezes the hierarchy between events; the
@@ -91,7 +92,7 @@ TEST(MemProf, MemJsonIsByteIdenticalAcrossIdleSkip) {
   options.vortex_config.idle_skip = true;  // serialize under identical options
   write_mem_json(tick_json, options, *ticking);
 
-  EXPECT_EQ(skip_json.str(), tick_json.str());
+  test::expect_same_document(skip_json.str(), tick_json.str(), "mem idle skip on vs off");
 }
 
 // The tentpole contracts over real benchmarks: per level,

@@ -11,6 +11,7 @@
 
 #include "common/log.hpp"
 #include "runtime/kernel_cache.hpp"
+#include "same_document.hpp"
 #include "suite/report.hpp"
 #include "suite/runner.hpp"
 
@@ -54,7 +55,7 @@ TEST(Remarks, ColdAndCacheReplayAreByteIdentical) {
     EXPECT_EQ(warm_stats.misses, cold_stats.misses) << "-O" << opt_level;
     EXPECT_GT(warm_stats.hits, cold_stats.hits) << "-O" << opt_level;
 
-    EXPECT_EQ(cold, warm) << "-O" << opt_level;
+    test::expect_same_document(cold, warm, "codegen cold vs replay -O" + std::to_string(opt_level));
     EXPECT_NE(cold.find(std::string("\"schema\": \"") + kCodegenSchema + "\""),
               std::string::npos);
   }
@@ -71,7 +72,8 @@ TEST(Remarks, CodegenJsonIsByteIdenticalAcrossJobCounts) {
     const std::string serial = codegen_doc(options);
     options.jobs = 4;
     const std::string parallel = codegen_doc(options);
-    EXPECT_EQ(serial, parallel) << "-O" << opt_level;
+    test::expect_same_document(serial, parallel,
+                               "codegen --jobs=1 vs 4 -O" + std::to_string(opt_level));
   }
 }
 
@@ -96,7 +98,7 @@ TEST(Remarks, HotspotRankingIsByteIdenticalAcrossJobCounts) {
   std::ostringstream parallel_json;
   write_codegen_json(parallel_json, options, *parallel);
 
-  EXPECT_EQ(serial_json.str(), parallel_json.str());
+  test::expect_same_document(serial_json.str(), parallel_json.str(), "hotspots --jobs=1 vs 4");
   EXPECT_NE(serial_json.str().find("\"hotspots\""), std::string::npos);
 
   // rank_remarks' own contract: descending attributed cycles, at most K
@@ -227,7 +229,7 @@ TEST(Remarks, CollectionDoesNotPerturbStats) {
   std::ostringstream on_json;
   write_stats_json(on_json, options, *on);
 
-  EXPECT_EQ(off_json.str(), on_json.str());
+  test::expect_same_document(off_json.str(), on_json.str(), "stats remarks off vs on");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/log.hpp"
+#include "same_document.hpp"
 #include "suite/compare.hpp"
 #include "suite/report.hpp"
 #include "suite/runner.hpp"
@@ -116,7 +117,7 @@ TEST(RunAll, StatsJsonIsByteIdenticalAcrossJobCounts) {
   std::ostringstream parallel_json;
   write_stats_json(parallel_json, options, *parallel);
 
-  EXPECT_EQ(serial_json.str(), parallel_json.str());
+  test::expect_same_document(serial_json.str(), parallel_json.str(), "stats --jobs=1 vs 4");
   // And the schema header is what OBSERVABILITY.md documents.
   EXPECT_NE(serial_json.str().find(std::string("\"schema\": \"") + kStatsSchema + "\""),
             std::string::npos);
@@ -148,7 +149,7 @@ TEST(RunAll, ProfileJsonIsByteIdenticalAcrossJobCounts) {
   std::ostringstream parallel_json;
   write_profile_json(parallel_json, options, *parallel);
 
-  EXPECT_EQ(serial_json.str(), parallel_json.str());
+  test::expect_same_document(serial_json.str(), parallel_json.str(), "profile --jobs=1 vs 4");
   EXPECT_NE(serial_json.str().find(std::string("\"schema\": \"") + kProfileSchema + "\""),
             std::string::npos);
 }
@@ -179,7 +180,7 @@ TEST(RunAll, HlsprofJsonIsByteIdenticalAcrossJobCounts) {
   std::ostringstream parallel_json;
   write_hlsprof_json(parallel_json, options, *parallel);
 
-  EXPECT_EQ(serial_json.str(), parallel_json.str());
+  test::expect_same_document(serial_json.str(), parallel_json.str(), "hlsprof --jobs=1 vs 4");
   EXPECT_NE(serial_json.str().find(std::string("\"schema\": \"") + kHlsProfSchema + "\""),
             std::string::npos);
 }
@@ -204,7 +205,7 @@ TEST(RunAll, CompareJsonIsByteIdenticalAcrossJobCounts) {
   std::ostringstream parallel_json;
   write_compare_json(parallel_json, options, *parallel);
 
-  EXPECT_EQ(serial_json.str(), parallel_json.str());
+  test::expect_same_document(serial_json.str(), parallel_json.str(), "compare --jobs=1 vs 4");
   const std::string json = serial_json.str();
   EXPECT_NE(json.find(std::string("\"schema\": \"") + kCompareSchema + "\""), std::string::npos);
   // vecadd/saxpy run on both flows; backprop and hybridsort are the paper's

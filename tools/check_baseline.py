@@ -25,33 +25,17 @@ Cycle *improvements* are reported but never fail (outside --exact-cycles):
 refresh the baseline (see README of the CI step) when an intentional perf
 change lands.
 
-Host wall-clock (fgpu.host.v1 documents from fgpu-run --host-json) is
-compared with --host-baseline/--host-current. Host throughput is NON-GATING
-by design — CI machines vary — it prints a wall-time trajectory only.
-When both documents carry turbo sections, the turbo dispatch throughput and
-turbo-over-vortex speedup trajectory are printed too (equally non-gating).
-
-Turbo digest gate (--turbo-digests): BASELINE and CURRENT are read as
-fgpu.host.v1 documents from an fgpu-run --device=all run (they may be the
-same file — the cross-check is between the two devices of one run, not
-between two runs). For every benchmark present in both documents, the
-CURRENT "turbo" entry must be ok and its output_digest must equal the
-BASELINE "vortex" entry's digest bit-for-bit: the binary-translation tier
+Output-digest gate (--turbo-digests): BASELINE and CURRENT are the
+fgpu.stats.v1 documents of two fgpu-run --device=all runs at different
+opt levels (CI: -O0, the straight-lowering oracle, and -O2). Inside each
+document, every benchmark's "turbo" entry must be ok and its output_digest
+must equal the "vortex" entry's bit-for-bit: the binary-translation tier
 must retire exactly the architectural state the cycle-exact oracle does.
-The gate fails if fewer than --turbo-min benchmarks (default 8) were
-compared — a filter typo must not pass silently as "0 of 0 matched" — and
---turbo-full additionally requires the full 28-benchmark Table I set (the
-weekly-equivalent sweep). Schema/coverage/cycle gates are skipped in this
-mode; they belong to the fgpu.stats.v1 path.
-
-Host-schema gate (--host-fields): CURRENT is read as an fgpu.host.v1
-document (BASELINE may be the same file; it is only schema-checked). The
-gate asserts the PR-8 reuse instrumentation is actually present and live:
-the "reuse" object with its compile_ms/synth_ms wall splits, per-benchmark
-setup_ms/build_ms/reused fields on every device entry, and — when the
-document was produced with --repeat > 1 under device reuse — a non-zero
-kernel_cache hit count and device_reuse_count (a repeat run that recompiles
-everything means the cache key or the pool identity broke silently).
+Across the two documents, every benchmark's vortex output_digest and
+verify_ok must match: the optimizer must preserve every output bit. A
+document without turbo entries, or two documents at one opt level, fails,
+so the gate cannot pass vacuously. Schema/coverage/cycle gates are skipped
+in this mode; they belong to the baseline path.
 
 Memory-profile documents (fgpu.mem.v1 from fgpu-run --memprof) are GATED
 with --mem-baseline/--mem-current (BENCH_mem.json in CI):
@@ -114,11 +98,11 @@ index). Catches a new exporter shipping an unregistered or typo'd tag.
 
 Usage: check_baseline.py BASELINE CURRENT [--max-regression=0.10]
                          [--max-cycles=N] [--exact-cycles]
-                         [--host-baseline=H.json --host-current=H2.json]
                          [--mem-baseline=M.json --mem-current=M2.json]
                          [--compare-baseline=C.json --compare-current=C2.json
                           --speedup-tolerance=0.05]
                          [--codegen-baseline=G.json --codegen-current=G2.json]
+       check_baseline.py O0.json O2.json --turbo-digests
        check_baseline.py --dse-baseline=D.json --dse-current=D2.json
                          [--spearman-min=0.8]
        check_baseline.py --schema-list FILE [FILE...]
@@ -177,141 +161,60 @@ def device_ok(entry, device):
     return None if run is None else bool(run.get("ok"))
 
 
-def compare_host(host_baseline, host_current):
-    """Non-gating host-throughput comparison of two fgpu.host.v1 documents."""
-    with open(host_baseline) as f:
-        base = json.load(f)
-    with open(host_current) as f:
-        cur = json.load(f)
-    for doc, path in ((base, host_baseline), (cur, host_current)):
-        if doc.get("schema") != "fgpu.host.v1":
-            print(f"note: host doc {path} has schema {doc.get('schema')!r}, "
-                  "expected fgpu.host.v1 — skipping host comparison")
-            return
-    b_wall = base.get("suite_wall_ms", {}).get("min")
-    c_wall = cur.get("suite_wall_ms", {}).get("min")
-    if not b_wall or not c_wall:
-        print("note: host docs lack suite_wall_ms.min — skipping host comparison")
-        return
-    speedup = b_wall / c_wall
-    print(f"host (non-gating): suite wall {b_wall:.0f} ms -> {c_wall:.0f} ms "
-          f"({speedup:.2f}x {'faster' if speedup >= 1 else 'slower'}); "
-          f"vortex {cur.get('vortex_mips', 0):.2f} simulated MIPS")
-    # Turbo throughput trajectory, present since the turbo tier landed.
-    # Equally non-gating: dispatch MIPS and the turbo-over-vortex ratio are
-    # machine-dependent; the digest gate (--turbo-digests) is what protects
-    # correctness.
-    b_dispatch = base.get("turbo_dispatch_mips")
-    c_dispatch = cur.get("turbo_dispatch_mips")
-    if b_dispatch and c_dispatch:
-        print(f"turbo (non-gating): dispatch {b_dispatch:.1f} -> {c_dispatch:.1f} MIPS; "
-              f"speedup over cycle path "
-              f"{base.get('turbo_speedup_over_vortex', 0):.1f}x -> "
-              f"{cur.get('turbo_speedup_over_vortex', 0):.1f}x")
-
-
-def check_turbo_digests(base, cur, minimum, full):
-    """GATING turbo-vs-vortex digest cross-check. Returns failures."""
+def check_turbo_digests(o0, o2):
+    """GATING output-digest gate over two --device=all stats documents
+    (see the module docstring). Returns failures."""
     failures = []
-    for doc, which in ((base, "baseline"), (cur, "current")):
-        if doc.get("schema") != "fgpu.host.v1":
-            failures.append(f"--turbo-digests: {which} doc has schema "
-                            f"{doc.get('schema')!r}, expected fgpu.host.v1")
+    for doc, which in ((o0, "baseline"), (o2, "current")):
+        if doc.get("schema") != "fgpu.stats.v1":
+            failures.append(f"turbo-digests: {which} doc has schema "
+                            f"{doc.get('schema')!r}, expected fgpu.stats.v1")
     if failures:
         return failures
+    levels = [doc.get("suite", {}).get("opt_level") for doc in (o0, o2)]
+    if levels[0] == levels[1]:
+        failures.append(f"turbo-digests: both documents are at -O{levels[0]}; "
+                        "the gate needs two opt levels")
 
-    base_benchmarks = by_name(base)
-    cur_benchmarks = by_name(cur)
-    compared = 0
-    for name in sorted(set(base_benchmarks) & set(cur_benchmarks)):
-        vortex = base_benchmarks[name].get("vortex")
-        turbo = cur_benchmarks[name].get("turbo")
-        if vortex is None or turbo is None:
-            continue
-        if not vortex.get("ok"):
-            # The oracle itself failed — nothing to cross-check against.
-            failures.append(f"turbo-digests: {name}: cycle-exact reference run not ok")
-            continue
-        compared += 1
-        if not turbo.get("ok"):
-            failures.append(f"turbo-digests: {name}: turbo run failed")
-            continue
-        want = vortex.get("output_digest")
-        got = turbo.get("output_digest")
-        if want != got:
-            failures.append(f"turbo-digests: {name}: digest mismatch "
-                            f"(vortex {want}, turbo {got})")
-    if compared < minimum:
-        failures.append(f"turbo-digests: only {compared} benchmark(s) cross-checked, "
-                        f"need >= {minimum} (--turbo-min)")
-    if full and compared < 28:
-        failures.append(f"turbo-digests: --turbo-full requires the whole 28-benchmark "
-                        f"Table I set, got {compared}")
-    if not failures:
-        print(f"turbo-digests: {compared} benchmarks, every turbo output_digest "
-              f"matches the cycle-exact oracle")
-    return failures
-
-
-def check_host_fields(base, cur):
-    """GATING fgpu.host.v1 reuse-instrumentation check. Returns failures."""
-    failures = []
-    for doc, which in ((base, "baseline"), (cur, "current")):
-        if doc.get("schema") != "fgpu.host.v1":
-            failures.append(f"--host-fields: {which} doc has schema "
-                            f"{doc.get('schema')!r}, expected fgpu.host.v1")
-    if failures:
-        return failures
-
-    reuse = cur.get("reuse")
-    if not isinstance(reuse, dict):
-        failures.append("host-fields: 'reuse' object missing")
-        return failures
-    for field in ("device_reuse_count", "kernel_cache_hits", "kernel_cache_misses",
-                  "hls_cache_hits", "hls_cache_misses", "workload_cache_hits",
-                  "workload_cache_misses", "reference_cache_hits",
-                  "reference_cache_misses", "compile_ms", "synth_ms"):
-        if field not in reuse:
-            failures.append(f"host-fields: reuse.{field} missing")
-    if "reuse_devices" not in cur:
-        failures.append("host-fields: 'reuse_devices' missing")
-    if not isinstance(cur.get("repeats"), int):
-        failures.append("host-fields: 'repeats' missing")
-
-    checked = 0
-    for bench in cur.get("benchmarks", []):
-        for device in ("vortex", "turbo", "hls"):
-            entry = bench.get(device)
-            if entry is None:
+    o0_benchmarks = by_name(o0)
+    o2_benchmarks = by_name(o2)
+    for level, benchmarks in zip(levels, (o0_benchmarks, o2_benchmarks)):
+        compared = 0
+        for name, entry in sorted(benchmarks.items()):
+            vortex, turbo = entry.get("vortex"), entry.get("turbo")
+            if vortex is None or turbo is None:
+                failures.append(f"turbo-digests: -O{level} {name}: vortex and turbo entries "
+                                "needed (run with --device=all)")
                 continue
-            checked += 1
-            for field in ("setup_ms", "build_ms", "reused"):
-                if field not in entry:
-                    failures.append(
-                        f"host-fields: {bench.get('name')}/{device}.{field} missing")
-    if checked == 0:
-        failures.append("host-fields: no per-benchmark device entries to check")
+            compared += 1
+            if not vortex.get("ok"):
+                # The oracle itself failed — nothing to cross-check against.
+                failures.append(f"turbo-digests: -O{level} {name}: cycle-exact "
+                                "reference run not ok")
+            elif not turbo.get("ok"):
+                failures.append(f"turbo-digests: -O{level} {name}: turbo run failed")
+            elif vortex.get("output_digest") != turbo.get("output_digest"):
+                failures.append(f"turbo-digests: -O{level} {name}: digest mismatch "
+                                f"(vortex {vortex.get('output_digest')}, "
+                                f"turbo {turbo.get('output_digest')})")
+        if compared == 0:
+            failures.append(f"turbo-digests: -O{level} document has no turbo entries")
 
-    # Liveness: a multi-repeat pooled run that compiled everything from
-    # scratch again means the cache key or pool identity regressed.
-    if cur.get("reuse_devices") and cur.get("repeats", 0) > 1 and not failures:
-        if reuse.get("kernel_cache_hits", 0) <= 0:
-            failures.append("host-fields: repeat run recorded zero kernel_cache_hits "
-                            "(cache key broken?)")
-        if reuse.get("device_reuse_count", 0) <= 0:
-            failures.append("host-fields: repeat run recorded zero device_reuse_count "
-                            "(pool identity broken?)")
-
+    for name in sorted(set(o0_benchmarks) ^ set(o2_benchmarks)):
+        failures.append(f"turbo-digests: {name} is in only one of the two documents")
+    for name in sorted(set(o0_benchmarks) & set(o2_benchmarks)):
+        a = o0_benchmarks[name].get("vortex") or {}
+        b = o2_benchmarks[name].get("vortex") or {}
+        if (a.get("output_digest"), a.get("verify_ok")) != \
+                (b.get("output_digest"), b.get("verify_ok")):
+            failures.append(f"turbo-digests: {name}: -O{levels[0]} digest "
+                            f"{a.get('output_digest')} verify={a.get('verify_ok')} vs "
+                            f"-O{levels[1]} digest {b.get('output_digest')} "
+                            f"verify={b.get('verify_ok')}")
     if not failures:
-        hits = reuse.get("kernel_cache_hits", 0)
-        misses = reuse.get("kernel_cache_misses", 0)
-        total = hits + misses
-        rate = hits / total if total else 0.0
-        print(f"host-fields: reuse instrumentation present on {checked} device entries; "
-              f"kernel cache {hits}/{total} hits ({rate:.0%}), "
-              f"{reuse.get('device_reuse_count', 0)} device reuses, "
-              f"compile {reuse.get('compile_ms', 0.0):.1f} ms / "
-              f"synth {reuse.get('synth_ms', 0.0):.1f} ms")
+        print(f"turbo-digests: {len(o0_benchmarks)} benchmarks; turbo matches the "
+              f"cycle-exact oracle at -O{levels[0]} and -O{levels[1]}, and the vortex "
+              "outputs are bit-identical across the two levels")
     return failures
 
 
@@ -382,7 +285,6 @@ KNOWN_SCHEMAS = (
     "fgpu.profile.v1",
     "fgpu.hlsprof.v1",
     "fgpu.mem.v1",
-    "fgpu.host.v1",
     "fgpu.compare.v1",
     "fgpu.codegen.v1",
     "fgpu.dse.v1",
@@ -698,8 +600,6 @@ def main():
                              "0 fails on any regression (optimizer gate)")
     parser.add_argument("--exact-cycles", action="store_true",
                         help="fail on ANY cycle delta (gate for host-speed-only changes)")
-    parser.add_argument("--host-baseline", help="fgpu.host.v1 baseline (non-gating)")
-    parser.add_argument("--host-current", help="fgpu.host.v1 current run (non-gating)")
     parser.add_argument("--mem-baseline",
                         help="fgpu.mem.v1 baseline (GATING, e.g. BENCH_mem.json)")
     parser.add_argument("--mem-current", help="fgpu.mem.v1 current run (GATING)")
@@ -723,20 +623,9 @@ def main():
                         help="allowed fractional speedup-ratio drift, either "
                              "direction (default 0.05)")
     parser.add_argument("--turbo-digests", action="store_true",
-                        help="GATE turbo output_digest equality against the "
-                             "cycle-exact entries (BASELINE/CURRENT are "
-                             "fgpu.host.v1 docs; may be the same file)")
-    parser.add_argument("--turbo-min", type=int, default=8,
-                        help="minimum benchmarks the --turbo-digests gate must "
-                             "cross-check (default 8, the sampled-CI floor)")
-    parser.add_argument("--turbo-full", action="store_true",
-                        help="--turbo-digests must cover all 28 Table I "
-                             "benchmarks (the full-sweep gate)")
-    parser.add_argument("--host-fields", action="store_true",
-                        help="GATE the fgpu.host.v1 reuse instrumentation "
-                             "(BASELINE/CURRENT are host docs; may be the "
-                             "same file). Repeat runs must show cache hits "
-                             "and device reuse")
+                        help="GATE turbo-vs-vortex output digests inside, and "
+                             "vortex digests across, two --device=all stats "
+                             "documents (BASELINE at -O0, CURRENT at -O2)")
     args = parser.parse_args()
 
     if args.schema_list:
@@ -770,19 +659,9 @@ def main():
         cur = json.load(f)
 
     if args.turbo_digests:
-        failures = check_turbo_digests(base, cur, args.turbo_min, args.turbo_full)
+        failures = check_turbo_digests(base, cur)
         if failures:
             print(f"check_baseline: {len(failures)} failure(s) in --turbo-digests:",
-                  file=sys.stderr)
-            for failure in failures:
-                print(f"  - {failure}", file=sys.stderr)
-            return 1
-        return 0
-
-    if args.host_fields:
-        failures = check_host_fields(base, cur)
-        if failures:
-            print(f"check_baseline: {len(failures)} failure(s) in --host-fields:",
                   file=sys.stderr)
             for failure in failures:
                 print(f"  - {failure}", file=sys.stderr)
@@ -842,9 +721,6 @@ def main():
                 elif delta != 0 and not args.exact_cycles:
                     print(f"note: {name}/vortex cycles {base_cycles} -> {cur_cycles} "
                           f"({delta:+.1%}, within budget)")
-
-    if args.host_baseline and args.host_current:
-        compare_host(args.host_baseline, args.host_current)
 
     if args.mem_baseline and args.mem_current:
         failures.extend(compare_mem(args.mem_baseline, args.mem_current))

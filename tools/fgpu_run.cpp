@@ -83,15 +83,11 @@ void usage(const char* argv0) {
       "  --dse-exact=K    cycle-exact slice size (default 32)\n"
       "  --dse-screen=K   cap on turbo-screened shapes (default 0 = all)\n"
       "  --seed=N         suite seed mixed into per-benchmark workload seeds\n"
-      "  --repeat=N       run the suite N times; report min/median wall time.\n"
-      "                   Repeats 2..N reuse pooled devices and hot caches\n"
-      "                   (host-json minima are taken over these warm runs)\n"
+      "  --repeat=N       run the suite N times and print the min/median wall\n"
+      "                   time; repeats 2..N reuse pooled devices and hot caches\n"
       "  --fresh          construct devices per benchmark and regenerate\n"
       "                   workloads per run instead of pooling/caching (the\n"
       "                   A/B reference; simulated results are identical)\n"
-      "  --host-json=PATH write fgpu.host.v1 host-throughput JSON (wall/MIPS)\n"
-      "  --host-stats     embed host wall/MIPS in the stats JSON (breaks the\n"
-      "                   byte-identical determinism contract; default off)\n"
       "  --no-idle-skip   tick every cycle (disable event-driven idle skipping;\n"
       "                   reported cycles are identical either way)\n"
       "  -O0 | -O1 | -O2  guest-code optimization level for the soft-GPU\n"
@@ -284,7 +280,7 @@ int main(int argc, char** argv) {
   Log::level() = LogLevel::kOff;
   suite::RunnerOptions options;
   std::string json_path, trace_path, profile_path, hlsprof_path, memprof_path, compare_path,
-      remarks_path, host_json_path, value;
+      remarks_path, value;
   bool list_only = false, quiet = false;
   uint32_t hotspots = 0;
   uint32_t mem_hotspots = 0;
@@ -312,10 +308,6 @@ int main(int argc, char** argv) {
       if (!parse_number("--seed", value, &options.suite_seed)) return 2;
     } else if (flag_value(arg, "--repeat", &value)) {
       if (!parse_number("--repeat", value, &repeat, 1)) return 2;
-    } else if (flag_value(arg, "--host-json", &value)) {
-      host_json_path = value;
-    } else if (std::strcmp(arg, "--host-stats") == 0) {
-      options.host_in_stats = true;
     } else if (std::strcmp(arg, "--fresh") == 0) {
       options.reuse_devices = false;
     } else if (std::strcmp(arg, "--no-idle-skip") == 0) {
@@ -494,14 +486,13 @@ int main(int argc, char** argv) {
   if (options.reuse_devices) options.pool = &pool;
 
   // --dse: the design-space funnel replaces the suite run. The --filter
-  // selection is the funnel's workload set; --jobs/-O/--fresh/--host-stats
-  // carry their usual meanings.
+  // selection is the funnel's workload set; --jobs/-O/--fresh carry their
+  // usual meanings.
   if (!dse_path.empty()) {
     dse_options.benchmarks = *names;
     dse_options.jobs = options.jobs == 0 ? std::thread::hardware_concurrency() : options.jobs;
     dse_options.opt_level = options.opt_level;
     dse_options.reuse_devices = options.reuse_devices;
-    dse_options.host_in_stats = options.host_in_stats;
     if (options.reuse_devices) dse_options.pool = &pool;
     const suite::DseResult dse = suite::run_dse(dse_options);
     if (!dse.error.empty()) {
@@ -543,19 +534,15 @@ int main(int argc, char** argv) {
   // first run is the primary (its stats/trace/profile are the ones
   // exported — the simulator is deterministic, so repeats produce the
   // same simulated results and differ only in wall time).
-  std::vector<suite::SuiteRunResult> reruns;
-  reruns.reserve(repeat > 0 ? repeat - 1 : 0);
+  std::vector<double> walls = {result->wall_ms};
   for (uint32_t r = 1; r < repeat; ++r) {
     auto again = suite::run_all(options);
     if (!again.is_ok()) {
       std::fprintf(stderr, "fgpu-run: repeat %u: %s\n", r + 1, again.status().message().c_str());
       return 2;
     }
-    reruns.push_back(std::move(*again));
+    walls.push_back(again->wall_ms);
   }
-  std::vector<const suite::SuiteRunResult*> all_runs;
-  all_runs.push_back(&*result);
-  for (const auto& run : reruns) all_runs.push_back(&run);
 
   if (!quiet) {
     if (options.run_turbo) {
@@ -588,9 +575,6 @@ int main(int argc, char** argv) {
       }
     }
     if (repeat > 1) {
-      std::vector<double> walls;
-      walls.reserve(all_runs.size());
-      for (const auto* run : all_runs) walls.push_back(run->wall_ms);
       std::sort(walls.begin(), walls.end());
       const double median = walls.size() % 2 == 1
                                 ? walls[walls.size() / 2]
@@ -708,15 +692,6 @@ int main(int argc, char** argv) {
     }
     suite::write_compare_json(out, options, *result);
     if (!quiet) std::printf("compare -> %s\n", compare_path.c_str());
-  }
-  if (!host_json_path.empty()) {
-    std::ofstream out(host_json_path);
-    if (!out) {
-      std::fprintf(stderr, "fgpu-run: cannot write '%s'\n", host_json_path.c_str());
-      return 2;
-    }
-    suite::write_host_json(out, options, all_runs);
-    if (!quiet) std::printf("host   -> %s\n", host_json_path.c_str());
   }
   if (hotspots > 0) {
     for (const auto& outcome : result->outcomes) {
