@@ -12,6 +12,7 @@
 #include "runtime/kernel_cache.hpp"
 #include "runtime/turbo_device.hpp"
 #include "runtime/vortex_device.hpp"
+#include "suite/compare.hpp"
 #include "suite/device_pool.hpp"
 #include "suite/report.hpp"
 
@@ -566,6 +567,22 @@ void write_trace_json(std::ostream& os, const SuiteRunResult& result) {
         trace::Process{static_cast<uint32_t>(i + 1), outcome.name, outcome.trace.get()});
   }
   trace::write_chrome_trace(os, processes);
+}
+
+const std::vector<DocumentSpec>& documents() {
+  static const std::vector<DocumentSpec> docs = {
+      {kStatsSchema, "--json", nullptr, write_stats_json},
+      {nullptr, "--trace", &RunnerOptions::capture_trace,
+       [](std::ostream& os, const RunnerOptions&, const SuiteRunResult& result) {
+         write_trace_json(os, result);
+       }},
+      {kProfileSchema, "--profile", &RunnerOptions::capture_profile, write_profile_json},
+      {kHlsProfSchema, "--hlsprof", nullptr, write_hlsprof_json},
+      {kMemSchema, "--memprof", &RunnerOptions::capture_memprof, write_mem_json},
+      {kCodegenSchema, "--remarks", &RunnerOptions::capture_remarks, write_codegen_json},
+      {kCompareSchema, "--compare", nullptr, write_compare_json},
+  };
+  return docs;
 }
 
 }  // namespace fgpu::suite

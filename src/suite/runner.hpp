@@ -206,4 +206,19 @@ void write_suite_header(trace::JsonWriter& w, const RunnerOptions& options,
 // (pid = benchmark position, process name = benchmark name).
 void write_trace_json(std::ostream& os, const SuiteRunResult& result);
 
+// One document a suite run can write. fgpu-run parses each row's flag and
+// writes each requested document in one loop; the --jobs, pooled-vs-fresh
+// and idle-skip byte-identity tests iterate the rows that carry a schema.
+struct DocumentSpec {
+  const char* schema;             // version tag; null for the Chrome trace
+  const char* flag;               // fgpu-run's --flag=PATH
+  bool RunnerOptions::*capture;   // collection the flag switches on, or null
+  void (*write)(std::ostream&, const RunnerOptions&, const SuiteRunResult&);
+};
+
+// stats, trace, profile, hlsprof, mem, codegen and compare, in the order
+// fgpu-run writes them. fgpu.dse.v1 and fgpu.fig7.v1 replace the suite run
+// and keep their own writers.
+const std::vector<DocumentSpec>& documents();
+
 }  // namespace fgpu::suite

@@ -6,14 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/log.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "runtime/vortex_device.hpp"
 #include "same_document.hpp"
-#include "suite/report.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
 #include "vasm/assembler.hpp"
@@ -57,15 +55,9 @@ TEST(IdleSkipTest, SuiteIsCycleExactWithSkippingOnAndOff) {
     EXPECT_TRUE(a.vortex.last.perf == b.vortex.last.perf) << a.name;
   }
 
-  // Byte-identical exports: stats and the per-PC profile document. A
-  // difference here means the fast path leaked into the reported schema.
-  std::ostringstream stats_off, stats_on, prof_off, prof_on;
-  suite::write_stats_json(stats_off, options_off, *off);
-  suite::write_stats_json(stats_on, options_on, *on);
-  test::expect_same_document(stats_off.str(), stats_on.str(), "stats idle skip off vs on");
-  suite::write_profile_json(prof_off, options_off, *off);
-  suite::write_profile_json(prof_on, options_on, *on);
-  test::expect_same_document(prof_off.str(), prof_on.str(), "profile idle skip off vs on");
+  // Byte-identical exports: a difference here means the fast path leaked
+  // into a reported document.
+  test::expect_same_documents(options_on, *off, *on, "idle skip off vs on");
 }
 
 // The same A/B at two non-default shapes with a non-default L1D geometry
@@ -110,13 +102,7 @@ TEST(IdleSkipTest, NonDefaultShapesMatchWithMemprof) {
       EXPECT_TRUE(a.last.dram == b.last.dram) << name;
       EXPECT_TRUE(a.last.profile == b.last.profile) << name;
     }
-    std::ostringstream prof_off, prof_on, mem_off, mem_on;
-    suite::write_profile_json(prof_off, options_off, *off);
-    suite::write_profile_json(prof_on, options_on, *on);
-    test::expect_same_document(prof_off.str(), prof_on.str(), "profile idle skip off vs on");
-    suite::write_mem_json(mem_off, options_off, *off);
-    suite::write_mem_json(mem_on, options_on, *on);
-    test::expect_same_document(mem_off.str(), mem_on.str(), "mem idle skip off vs on");
+    test::expect_same_documents(options_on, *off, *on, "idle skip off vs on");
   }
 }
 

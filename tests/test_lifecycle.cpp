@@ -14,7 +14,6 @@
 #include "runtime/turbo_device.hpp"
 #include "runtime/vortex_device.hpp"
 #include "same_document.hpp"
-#include "suite/compare.hpp"
 #include "suite/device_pool.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
@@ -286,8 +285,7 @@ TEST(DeviceLifecycle, SuiteDocsByteIdenticalPooledVsFresh) {
     options.jobs = 2;
     options.opt_level = opt_level;
     options.run_turbo = true;
-    options.capture_profile = true;
-    options.capture_memprof = true;
+    test::capture_every_document(&options);
 
     options.reuse_devices = true;
     auto pooled = run_all(options);
@@ -301,22 +299,8 @@ TEST(DeviceLifecycle, SuiteDocsByteIdenticalPooledVsFresh) {
     auto fresh = run_all(options);
     ASSERT_TRUE(fresh.is_ok());
 
-    const auto doc = [&](auto writer, const SuiteRunResult& result) {
-      std::ostringstream os;
-      writer(os, options, result);
-      return os.str();
-    };
-    const std::string level = " pooled vs fresh -O" + std::to_string(opt_level);
-    test::expect_same_document(doc(write_stats_json, *pooled), doc(write_stats_json, *fresh),
-                               "stats" + level);
-    test::expect_same_document(doc(write_profile_json, *pooled), doc(write_profile_json, *fresh),
-                               "profile" + level);
-    test::expect_same_document(doc(write_hlsprof_json, *pooled), doc(write_hlsprof_json, *fresh),
-                               "hlsprof" + level);
-    test::expect_same_document(doc(write_compare_json, *pooled), doc(write_compare_json, *fresh),
-                               "compare" + level);
-    test::expect_same_document(doc(write_mem_json, *pooled), doc(write_mem_json, *fresh),
-                               "mem" + level);
+    test::expect_same_documents(options, *pooled, *fresh,
+                                "pooled vs fresh -O" + std::to_string(opt_level));
   }
 }
 

@@ -28,24 +28,10 @@ RunnerOptions memprof_options(const std::string& filter) {
 // scheduling: profiles are merged per benchmark in canonical order and
 // every container iterated at export is ordered.
 TEST(MemProf, MemJsonIsByteIdenticalAcrossJobCounts) {
-  RunnerOptions options = memprof_options("^(vecadd|saxpy|dotproduct|transpose)$");
-
-  options.jobs = 1;
-  auto serial = run_all(options);
-  ASSERT_TRUE(serial.is_ok());
-  ASSERT_EQ(serial->outcomes.size(), 4u);
-  std::ostringstream serial_json;
-  write_mem_json(serial_json, options, *serial);
-
-  options.jobs = 4;
-  auto parallel = run_all(options);
-  ASSERT_TRUE(parallel.is_ok());
-  std::ostringstream parallel_json;
-  write_mem_json(parallel_json, options, *parallel);
-
-  test::expect_same_document(serial_json.str(), parallel_json.str(), "mem --jobs=1 vs 4");
-  EXPECT_NE(serial_json.str().find(std::string("\"schema\": \"") + kMemSchema + "\""),
-            std::string::npos);
+  test::JobCountRuns runs;
+  ASSERT_NO_FATAL_FAILURE(test::expect_same_documents_across_job_counts(
+      memprof_options("^(vecadd|saxpy|dotproduct|transpose)$"), 4, &runs));
+  EXPECT_EQ(runs.docs.count(kMemSchema), 1u);
 }
 
 // Zero cycle drift: profiling is observational, so the fgpu.stats.v1

@@ -1,7 +1,7 @@
-// Tests for the parallel suite runner and the fgpu.stats.v1 exporter:
-// regex filtering, workload-seed derivation, trace capture through the
-// runner, and the central determinism contract — the stats JSON is
-// byte-identical whether the suite ran on 1 worker thread or 4.
+// Tests for the parallel suite runner and its exporters: regex filtering,
+// workload-seed derivation, trace capture through the runner, and the
+// central determinism contract — every suite document is byte-identical
+// whether the suite ran on 1 worker thread or 4.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -103,24 +103,9 @@ TEST(RunAll, StatsJsonIsByteIdenticalAcrossJobCounts) {
   Log::level() = LogLevel::kOff;
   RunnerOptions options;
   options.filter = "^(vecadd|saxpy|dotproduct|transpose)$";
-
-  options.jobs = 1;
-  auto serial = run_all(options);
-  ASSERT_TRUE(serial.is_ok());
-  ASSERT_EQ(serial->outcomes.size(), 4u);
-  std::ostringstream serial_json;
-  write_stats_json(serial_json, options, *serial);
-
-  options.jobs = 4;
-  auto parallel = run_all(options);
-  ASSERT_TRUE(parallel.is_ok());
-  std::ostringstream parallel_json;
-  write_stats_json(parallel_json, options, *parallel);
-
-  test::expect_same_document(serial_json.str(), parallel_json.str(), "stats --jobs=1 vs 4");
-  // And the schema header is what OBSERVABILITY.md documents.
-  EXPECT_NE(serial_json.str().find(std::string("\"schema\": \"") + kStatsSchema + "\""),
-            std::string::npos);
+  test::JobCountRuns runs;
+  ASSERT_NO_FATAL_FAILURE(test::expect_same_documents_across_job_counts(options, 4, &runs));
+  EXPECT_EQ(runs.docs.count(kStatsSchema), 1u);
 }
 
 // Same contract for the profiler export: per-PC tables, occupancy
@@ -132,26 +117,12 @@ TEST(RunAll, ProfileJsonIsByteIdenticalAcrossJobCounts) {
   options.filter = "^(vecadd|saxpy|dotproduct|transpose)$";
   options.run_hls = false;
   options.capture_profile = true;
-
-  options.jobs = 1;
-  auto serial = run_all(options);
-  ASSERT_TRUE(serial.is_ok());
-  ASSERT_EQ(serial->outcomes.size(), 4u);
-  for (const auto& outcome : serial->outcomes) {
+  test::JobCountRuns runs;
+  ASSERT_NO_FATAL_FAILURE(test::expect_same_documents_across_job_counts(options, 4, &runs));
+  EXPECT_EQ(runs.docs.count(kProfileSchema), 1u);
+  for (const auto& outcome : runs.serial.outcomes) {
     EXPECT_FALSE(outcome.vortex.kernel_profiles.empty()) << outcome.name;
   }
-  std::ostringstream serial_json;
-  write_profile_json(serial_json, options, *serial);
-
-  options.jobs = 4;
-  auto parallel = run_all(options);
-  ASSERT_TRUE(parallel.is_ok());
-  std::ostringstream parallel_json;
-  write_profile_json(parallel_json, options, *parallel);
-
-  test::expect_same_document(serial_json.str(), parallel_json.str(), "profile --jobs=1 vs 4");
-  EXPECT_NE(serial_json.str().find(std::string("\"schema\": \"") + kProfileSchema + "\""),
-            std::string::npos);
 }
 
 // Same contract for the HLS-side profile: per-site attribution and the
@@ -163,26 +134,12 @@ TEST(RunAll, HlsprofJsonIsByteIdenticalAcrossJobCounts) {
   // failed-fit synth reports are exercised by the byte-compare too.
   options.filter = "^(vecadd|saxpy|backprop|transpose)$";
   options.run_vortex = false;
-
-  options.jobs = 1;
-  auto serial = run_all(options);
-  ASSERT_TRUE(serial.is_ok());
-  ASSERT_EQ(serial->outcomes.size(), 4u);
-  for (const auto& outcome : serial->outcomes) {
+  test::JobCountRuns runs;
+  ASSERT_NO_FATAL_FAILURE(test::expect_same_documents_across_job_counts(options, 4, &runs));
+  EXPECT_EQ(runs.docs.count(kHlsProfSchema), 1u);
+  for (const auto& outcome : runs.serial.outcomes) {
     EXPECT_FALSE(outcome.hls.hls_profiles.empty()) << outcome.name;
   }
-  std::ostringstream serial_json;
-  write_hlsprof_json(serial_json, options, *serial);
-
-  options.jobs = 4;
-  auto parallel = run_all(options);
-  ASSERT_TRUE(parallel.is_ok());
-  std::ostringstream parallel_json;
-  write_hlsprof_json(parallel_json, options, *parallel);
-
-  test::expect_same_document(serial_json.str(), parallel_json.str(), "hlsprof --jobs=1 vs 4");
-  EXPECT_NE(serial_json.str().find(std::string("\"schema\": \"") + kHlsProfSchema + "\""),
-            std::string::npos);
 }
 
 // The comparison document joins both flows' runs, so it inherits both
@@ -191,25 +148,12 @@ TEST(RunAll, CompareJsonIsByteIdenticalAcrossJobCounts) {
   Log::level() = LogLevel::kOff;
   RunnerOptions options;
   options.filter = "^(vecadd|saxpy|backprop|hybridsort)$";
-
-  options.jobs = 1;
-  auto serial = run_all(options);
-  ASSERT_TRUE(serial.is_ok());
-  ASSERT_EQ(serial->outcomes.size(), 4u);
-  std::ostringstream serial_json;
-  write_compare_json(serial_json, options, *serial);
-
-  options.jobs = 4;
-  auto parallel = run_all(options);
-  ASSERT_TRUE(parallel.is_ok());
-  std::ostringstream parallel_json;
-  write_compare_json(parallel_json, options, *parallel);
-
-  test::expect_same_document(serial_json.str(), parallel_json.str(), "compare --jobs=1 vs 4");
-  const std::string json = serial_json.str();
-  EXPECT_NE(json.find(std::string("\"schema\": \"") + kCompareSchema + "\""), std::string::npos);
+  test::JobCountRuns runs;
+  ASSERT_NO_FATAL_FAILURE(test::expect_same_documents_across_job_counts(options, 4, &runs));
+  ASSERT_EQ(runs.docs.count(kCompareSchema), 1u);
   // vecadd/saxpy run on both flows; backprop and hybridsort are the paper's
   // Table-I HLS failures, so they must land in the failure diff.
+  const std::string& json = runs.docs.at(kCompareSchema);
   EXPECT_NE(json.find("\"coverage\": \"both\""), std::string::npos);
   EXPECT_NE(json.find("\"coverage\": \"vortex_only\""), std::string::npos);
   EXPECT_NE(json.find("\"hls_fail_reason\": \"Not enough BRAM\""), std::string::npos);

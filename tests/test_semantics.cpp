@@ -258,6 +258,10 @@ struct OpCase {
   Opd rd, s1, s2, s3;
 };
 
+// gtest appends the printed parameter to each listed test name; without
+// this it prints the struct's raw bytes, the name pointer among them.
+void PrintTo(const OpCase& c, std::ostream* os) { *os << c.name; }
+
 std::vector<OpCase> op_cases() {
   return {
 #define FGPU_TEST_OP_CASE(OP, FN, RD, S1, S2, S3) \

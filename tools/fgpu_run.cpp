@@ -8,12 +8,12 @@
 //   fgpu-run --jobs=8 --compare=compare.json --hlsprof=hlsprof.json
 //
 // Runs the selected Table-I benchmarks on the selected device(s), prints a
-// coverage/cycles table, and optionally writes the fgpu.stats.v1 JSON, a
-// Chrome trace_event file, the fgpu.profile.v1 per-PC cycle profile, the
-// fgpu.hlsprof.v1 per-access-site HLS profile, and the fgpu.compare.v1
-// side-by-side comparison. Exit status: 0 unless a usage error occurs or a
-// soft-GPU benchmark fails (HLS failures are reported but expected for the
-// paper's six uncovered benchmarks — fgpu-run measures, bench/table1 judges).
+// coverage/cycles table, and optionally writes each suite::documents() row
+// whose flag is given (stats, Chrome trace, profile, hlsprof, mem, codegen,
+// compare), or replaces the suite run with the --dse funnel. Exit status: 0
+// unless a usage error occurs or a soft-GPU benchmark fails (HLS failures
+// are reported but expected for the paper's six uncovered benchmarks —
+// fgpu-run measures, bench/table1 judges).
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
@@ -33,6 +33,7 @@
 #include "suite/device_pool.hpp"
 #include "suite/dse.hpp"
 #include "suite/flagcheck.hpp"
+#include "suite/report.hpp"
 #include "suite/runner.hpp"
 #include "vortex/config.hpp"
 #include "vortex/profile.hpp"
@@ -152,6 +153,16 @@ bool flag_value(const char* arg, const char* name, std::string* out) {
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
   *out = arg + len + 1;
   return true;
+}
+
+// Index of the suite::documents() row whose --flag=PATH `arg` is, or
+// documents().size() when it is none of them.
+size_t document_flag(const char* arg, std::string* path) {
+  const auto& docs = suite::documents();
+  for (size_t i = 0; i < docs.size(); ++i) {
+    if (flag_value(arg, docs[i].flag, path)) return i;
+  }
+  return docs.size();
 }
 
 const char* status_cell(bool ran, const suite::DeviceRun& run) {
@@ -279,8 +290,12 @@ void print_mem_hotspots(const suite::BenchmarkOutcome& outcome, uint32_t k) {
 int main(int argc, char** argv) {
   Log::level() = LogLevel::kOff;
   suite::RunnerOptions options;
-  std::string json_path, trace_path, profile_path, hlsprof_path, memprof_path, compare_path,
-      remarks_path, value;
+  const auto& docs = suite::documents();
+  std::vector<std::string> doc_paths(docs.size());
+  std::string value;
+  // The last flag seen that only means something to a suite run; --dse
+  // replaces that run, so such a flag beside it is a usage error.
+  const char* suite_only_flag = nullptr;
   bool list_only = false, quiet = false;
   uint32_t hotspots = 0;
   uint32_t mem_hotspots = 0;
@@ -308,6 +323,7 @@ int main(int argc, char** argv) {
       if (!parse_number("--seed", value, &options.suite_seed)) return 2;
     } else if (flag_value(arg, "--repeat", &value)) {
       if (!parse_number("--repeat", value, &repeat, 1)) return 2;
+      suite_only_flag = "--repeat";
     } else if (std::strcmp(arg, "--fresh") == 0) {
       options.reuse_devices = false;
     } else if (std::strcmp(arg, "--no-idle-skip") == 0) {
@@ -326,36 +342,26 @@ int main(int argc, char** argv) {
       options.opt_level = value[0] - '0';
     } else if (flag_value(arg, "--dump-asm", &value)) {
       dump_asm_bench = value;
-    } else if (flag_value(arg, "--json", &value)) {
-      json_path = value;
-    } else if (flag_value(arg, "--trace", &value)) {
-      trace_path = value;
-      options.capture_trace = true;
-    } else if (flag_value(arg, "--profile", &value)) {
-      profile_path = value;
-      options.capture_profile = true;
-    } else if (flag_value(arg, "--hlsprof", &value)) {
-      hlsprof_path = value;
-    } else if (flag_value(arg, "--memprof", &value)) {
-      memprof_path = value;
-      options.capture_memprof = true;
+    } else if (const size_t d = document_flag(arg, &value); d < docs.size()) {
+      doc_paths[d] = value;
+      if (docs[d].capture != nullptr) options.*docs[d].capture = true;
+      suite_only_flag = docs[d].flag;
     } else if (flag_value(arg, "--mem-hotspots", &value)) {
       if (!parse_number("--mem-hotspots", value, &mem_hotspots)) return 2;
       options.capture_memprof = true;
-    } else if (flag_value(arg, "--compare", &value)) {
-      compare_path = value;
+      suite_only_flag = "--mem-hotspots";
     } else if (flag_value(arg, "--hotspots", &value)) {
       if (!parse_number("--hotspots", value, &hotspots)) return 2;
       options.capture_profile = true;
-    } else if (flag_value(arg, "--remarks", &value)) {
-      remarks_path = value;
-      options.capture_remarks = true;
+      suite_only_flag = "--hotspots";
     } else if (flag_value(arg, "--remark-hotspots", &value)) {
       if (!parse_number("--remark-hotspots", value, &options.remark_hotspots)) return 2;
       options.capture_remarks = true;
       options.capture_profile = true;  // the ranking joins against cycles
+      suite_only_flag = "--remark-hotspots";
     } else if (std::strcmp(arg, "--predict") == 0) {
       predict = true;
+      suite_only_flag = "--predict";
     } else if (flag_value(arg, "--dse", &value)) {
       dse_path = value;
     } else if (flag_value(arg, "--dse-grid", &value)) {
@@ -424,18 +430,32 @@ int main(int argc, char** argv) {
 
   if (!dump_asm_bench.empty()) return dump_asm(dump_asm_bench, options.opt_level);
 
+  if (!dse_path.empty() && suite_only_flag != nullptr) {
+    std::fprintf(stderr, "fgpu-run: %s has no effect with --dse, which replaces the suite run\n",
+                 suite_only_flag);
+    return 2;
+  }
+
   // Flag/device consistency: each export needs the device(s) that produce
   // its data, so a contradictory --device is a usage error (exit 2), not a
   // silently empty document. The rules live in one declarative table
   // (suite/flagcheck.hpp) shared with tests/test_flagcheck.cpp.
   {
+    const auto requested = [&](const char* schema) {
+      for (size_t i = 0; i < docs.size(); ++i) {
+        if (docs[i].schema != nullptr && std::strcmp(docs[i].schema, schema) == 0) {
+          return !doc_paths[i].empty();
+        }
+      }
+      return false;
+    };
     suite::FlagRequests requests;
-    requests.compare = !compare_path.empty();
+    requests.compare = requested(suite::kCompareSchema);
     // Explicit --profile/--hotspots only: --remark-hotspots also turns on
     // profile collection, but its contradiction should name the flag the
     // user actually typed (the remarks rule has the same requirement).
-    requests.profile = !profile_path.empty() || hotspots > 0;
-    requests.hlsprof = !hlsprof_path.empty();
+    requests.profile = requested(suite::kProfileSchema) || hotspots > 0;
+    requests.hlsprof = requested(suite::kHlsProfSchema);
     requests.memprof = options.capture_memprof;
     requests.remarks = options.capture_remarks || options.remark_hotspots > 0;
     requests.predict = predict;
@@ -479,6 +499,19 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Every output path opens before any benchmark runs, so an unwritable
+  // one fails at once instead of after the suite, beside documents
+  // already written.
+  const auto open_output = [](const std::string& path, std::ofstream* out) {
+    out->open(path);
+    if (!*out) std::fprintf(stderr, "fgpu-run: cannot write '%s'\n", path.c_str());
+    return static_cast<bool>(*out);
+  };
+  std::vector<std::ofstream> doc_outs(docs.size());
+  for (size_t i = 0; i < docs.size(); ++i) {
+    if (!doc_paths[i].empty() && !open_output(doc_paths[i], &doc_outs[i])) return 2;
+  }
+
   // One pool for the whole process: --repeat iterations 2..N re-arm the
   // previous iteration's devices, which is where the kernel-cache hits and
   // turbo translation retention land.
@@ -489,6 +522,8 @@ int main(int argc, char** argv) {
   // selection is the funnel's workload set; --jobs/-O/--fresh carry their
   // usual meanings.
   if (!dse_path.empty()) {
+    std::ofstream out;
+    if (!open_output(dse_path, &out)) return 2;
     dse_options.benchmarks = *names;
     dse_options.jobs = options.jobs == 0 ? std::thread::hardware_concurrency() : options.jobs;
     dse_options.opt_level = options.opt_level;
@@ -497,11 +532,6 @@ int main(int argc, char** argv) {
     const suite::DseResult dse = suite::run_dse(dse_options);
     if (!dse.error.empty()) {
       std::fprintf(stderr, "fgpu-run: --dse: %s\n", dse.error.c_str());
-      return 2;
-    }
-    std::ofstream out(dse_path);
-    if (!out) {
-      std::fprintf(stderr, "fgpu-run: cannot write '%s'\n", dse_path.c_str());
       return 2;
     }
     suite::write_dse_json(out, dse_options, dse);
@@ -630,68 +660,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::fprintf(stderr, "fgpu-run: cannot write '%s'\n", json_path.c_str());
-      return 2;
-    }
-    suite::write_stats_json(out, options, *result);
-    if (!quiet) std::printf("stats  -> %s\n", json_path.c_str());
-  }
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path);
-    if (!out) {
-      std::fprintf(stderr, "fgpu-run: cannot write '%s'\n", trace_path.c_str());
-      return 2;
-    }
-    suite::write_trace_json(out, *result);
-    if (!quiet) std::printf("trace  -> %s\n", trace_path.c_str());
-  }
-  if (!profile_path.empty()) {
-    std::ofstream out(profile_path);
-    if (!out) {
-      std::fprintf(stderr, "fgpu-run: cannot write '%s'\n", profile_path.c_str());
-      return 2;
-    }
-    suite::write_profile_json(out, options, *result);
-    if (!quiet) std::printf("profile -> %s\n", profile_path.c_str());
-  }
-  if (!hlsprof_path.empty()) {
-    std::ofstream out(hlsprof_path);
-    if (!out) {
-      std::fprintf(stderr, "fgpu-run: cannot write '%s'\n", hlsprof_path.c_str());
-      return 2;
-    }
-    suite::write_hlsprof_json(out, options, *result);
-    if (!quiet) std::printf("hlsprof -> %s\n", hlsprof_path.c_str());
-  }
-  if (!memprof_path.empty()) {
-    std::ofstream out(memprof_path);
-    if (!out) {
-      std::fprintf(stderr, "fgpu-run: cannot write '%s'\n", memprof_path.c_str());
-      return 2;
-    }
-    suite::write_mem_json(out, options, *result);
-    if (!quiet) std::printf("memprof -> %s\n", memprof_path.c_str());
-  }
-  if (!remarks_path.empty()) {
-    std::ofstream out(remarks_path);
-    if (!out) {
-      std::fprintf(stderr, "fgpu-run: cannot write '%s'\n", remarks_path.c_str());
-      return 2;
-    }
-    suite::write_codegen_json(out, options, *result);
-    if (!quiet) std::printf("remarks -> %s\n", remarks_path.c_str());
-  }
-  if (!compare_path.empty()) {
-    std::ofstream out(compare_path);
-    if (!out) {
-      std::fprintf(stderr, "fgpu-run: cannot write '%s'\n", compare_path.c_str());
-      return 2;
-    }
-    suite::write_compare_json(out, options, *result);
-    if (!quiet) std::printf("compare -> %s\n", compare_path.c_str());
+  for (size_t i = 0; i < docs.size(); ++i) {
+    if (doc_paths[i].empty()) continue;
+    docs[i].write(doc_outs[i], options, *result);
+    if (!quiet) std::printf("%s -> %s\n", docs[i].flag + 2, doc_paths[i].c_str());
   }
   if (hotspots > 0) {
     for (const auto& outcome : result->outcomes) {
