@@ -14,7 +14,8 @@
 // Determinism contract: identical to fgpu.stats.v1 — output depends only on
 // simulated counters (no wall-clock, no host state), so the document is
 // byte-identical across --jobs (asserted by tests/test_runner.cpp) and
-// baseline-diffable (tools/check_baseline.py BENCH_compare.json CUR).
+// gated byte for byte against its golden (tools/check_baseline.py
+// BENCH_compare.json CUR).
 #pragma once
 
 #include <ostream>

@@ -5,39 +5,26 @@
   check_baseline.py O0.json O2.json --turbo-digests
   check_baseline.py --schema-list FILE [FILE ...]
 
-Pair mode: each (BASE, CUR) pair is dispatched on its "schema" tag through
-GATES, and every pair goes through the same steps:
+Pair mode: each CUR passes only if its bytes equal BASE's. Every exported
+document is byte-deterministic (across --jobs, pooled vs fresh devices and
+idle-skip modes), so one comparison gates every golden whole: Table I's
+cycles and stall buckets, the Fig. 6 speedups, every miss class, compiler
+remark and DSE cell. On a mismatch both documents are parsed and walked
+together, and up to MAX_SHOWN differing values are printed as
 
-  * both documents carry the same tag, and GATES registers it;
-  * key-path drift: the set of key paths must match (a field added,
-    removed or renamed without bumping the schema tag);
-  * benchmark set: every benchmark object in one document is in the other
-    (a DSE document's "benchmarks" lists names, a sweep parameter that its
-    signature compares instead);
-  * signature: the schema's signature function maps a document to named
-    items, and every item must match. Counts match exactly; a Ratio
-    matches within SPEEDUP_TOLERANCE either way; a Floor matches while the
-    current value stays at or above SPEARMAN_MIN.
+  kind: path base -> cur
 
-The signatures (the goldens CI compares against in parentheses):
+where kind is the schema's middle word and path names the value:
+benchmarks[vecadd].vortex.last_launch.perf.stalls.lsu 71948 -> 71949.
+Array elements that carry a name, kernel, config or pass are named by it
+(a repeated name gets #2, #3, ... in order); other elements by index. A
+value missing on one side prints as (absent). When the values are equal
+and only the bytes differ (key order, whitespace, number spelling), the
+first differing line is printed instead.
 
-  fgpu.stats.v1 (BENCH_table1.json): ok and total_cycles per benchmark on
-    vortex and hls. Any cycle delta fails: the simulator is deterministic
-    and its fast paths are host-speed-only.
-  fgpu.compare.v1 (BENCH_compare.json): each benchmark's coverage class
-    (both / vortex_only / hls_only / neither) and its HLS-over-vortex
-    speedup. The Fig. 6 ratios are the paper's headline numbers, so drift
-    beyond 5% in either direction fails.
-  fgpu.mem.v1 (BENCH_mem.json): per benchmark, device, kernel and cache
-    level, the (accesses, misses, compulsory, capacity, conflict) vector.
-  fgpu.codegen.v1 (BENCH_codegen.json): per kernel, the static compiler
-    metrics, every pipeline stage's (position, remarks, before, after) and
-    the remark count per (pass, action).
-  fgpu.dse.v1 (BENCH_dse.json): the sweep parameters, every funnel count,
-    Pareto membership, each evaluated configuration's simulated cycles and
-    ok, and the analytical model's Spearman rank correlation >= 0.8.
-  fgpu.profile.v1, fgpu.hlsprof.v1, fgpu.fig7.v1: key paths and benchmark
-    set only (CI byte-compares them instead).
+Every current fgpu.dse.v1 document must also keep the analytical model's
+Spearman rank correlation at or above SPEARMAN_MIN, so comparing a DSE
+document with itself (the weekly full grid has no golden) checks the floor.
 
 Output-digest gate (--turbo-digests): O0 and O2 are the fgpu.stats.v1
 documents of two fgpu-run --device=all runs at different opt levels (CI:
@@ -51,163 +38,89 @@ entries, or two documents at one opt level, fails, so the gate cannot pass
 vacuously.
 
 Schema lint (--schema-list): every listed document must carry a "schema"
-field whose value is a key of GATES (the OBSERVABILITY.md schema index), so
-a new exporter cannot ship an unregistered or typo'd tag.
+field whose value is in SCHEMAS (the OBSERVABILITY.md schema index), so a
+new exporter cannot ship an unregistered or typo'd tag.
 
-tools/gate_selftest.py plants a drift of each kind into a copy of each
-golden and proves the gate fails on it. Stdlib only.
+tools/gate_selftest.py plants drifts into copies of each golden and proves
+the gate fails on each and names it. Stdlib only.
 """
 
 import argparse
+import itertools
 import json
 import sys
 
-SPEEDUP_TOLERANCE = 0.05
 SPEARMAN_MIN = 0.8
-
-
-class Ratio:
-    """A speedup ratio (0 when absent): matches within SPEEDUP_TOLERANCE of the baseline."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        if not isinstance(other, Ratio):
-            return NotImplemented
-        base, cur = self.value, other.value
-        if base > 0 and cur > 0:
-            return abs(cur - base) / base <= SPEEDUP_TOLERANCE
-        return (base > 0) == (cur > 0)
-
-    def __repr__(self):
-        return f"{self.value:.4f}x"
-
-
-class Floor:
-    """A score that matches while the current value is at or above SPEARMAN_MIN."""
-
-    def __init__(self, value):
-        self.value = value if isinstance(value, (int, float)) else None
-
-    def __eq__(self, other):
-        if not isinstance(other, Floor):
-            return NotImplemented
-        return other.value is not None and other.value >= SPEARMAN_MIN
-
-    def __repr__(self):
-        if self.value is None:
-            return "missing"
-        below = f" below the floor {SPEARMAN_MIN}" if self.value < SPEARMAN_MIN else ""
-        return f"{self.value:.4f}{below}"
-
-
-def schema_paths(node, prefix=""):
-    """The set of key paths in a JSON tree; array elements share a path."""
-    paths = set()
-    if isinstance(node, dict):
-        for key, value in node.items():
-            path = f"{prefix}.{key}" if prefix else key
-            paths.add(path)
-            paths.update(schema_paths(value, path))
-    elif isinstance(node, list):
-        for value in node:
-            paths.update(schema_paths(value, prefix + "[]"))
-    return paths
-
-
-def by_name(doc):
-    return {b["name"]: b for b in doc.get("benchmarks", []) if isinstance(b, dict)}
-
-
-def stats_signature(doc):
-    sig = {}
-    for name, bench in by_name(doc).items():
-        for device in ("vortex", "hls"):
-            run = bench.get(device) or {}
-            sig[f"{name}/{device} ok"] = run.get("ok")
-            sig[f"{name}/{device} total_cycles"] = run.get("total_cycles")
-    return sig
-
-
-def compare_signature(doc):
-    sig = {}
-    for name, bench in by_name(doc).items():
-        sig[f"{name} coverage"] = bench.get("coverage")
-        sig[f"{name} speedup"] = Ratio(bench.get("speedup_hls_over_vortex", 0.0))
-    return sig
-
-
-def mem_signature(doc):
-    sig = {}
-    for name, bench in by_name(doc).items():
-        for device in ("vortex", "hls"):
-            for kernel in (bench.get(device) or {}).get("kernels", []):
-                for level in ("l1d", "l1i", "l2", "readpath"):
-                    p = kernel.get(level)
-                    if p is not None:
-                        mc = p.get("miss_classes", {})
-                        sig[f"{name}/{device}/{kernel.get('kernel')}/{level}"] = (
-                            p.get("accesses"), p.get("misses"), mc.get("compulsory"),
-                            mc.get("capacity"), mc.get("conflict"))
-    return sig
-
-
-CODEGEN_STATIC = ("opt_level", "barrier_dispatch", "code_words", "spill_slots",
-                  "simt_instructions", "mem_instructions")
-
-
-def codegen_signature(doc):
-    sig = {}
-    for name, bench in by_name(doc).items():
-        for kernel in bench.get("kernels", []):
-            where = f"{name}/{kernel.get('kernel')}"
-            for field in CODEGEN_STATIC:
-                sig[f"{where}: {field}"] = kernel.get(field)
-            for i, p in enumerate(kernel.get("passes", [])):
-                sig[f"{where}: stage '{p.get('pass')}' #{i}"] = (
-                    p.get("remarks"), sorted(p.get("before", {}).items()),
-                    sorted(p.get("after", {}).items()))
-            for r in kernel.get("remarks", []):
-                key = f"{where}: remark count {r.get('pass')}/{r.get('action')}"
-                sig[key] = sig.get(key, 0) + 1
-    return sig
-
-
-def dse_signature(doc):
-    sig = {f"sweep {field}": doc.get(field)
-           for field in ("grid", "benchmarks", "opt_level", "exact_budget")}
-    for stage, value in doc.get("funnel", {}).items():
-        if isinstance(value, dict):
-            sig.update({f"funnel {stage}.{key}": n for key, n in value.items()})
-        else:
-            sig[f"funnel {stage}"] = value
-    for label in doc.get("pareto", []):
-        sig[f"Pareto member {label!r}"] = True
-    for entry in doc.get("evaluated", []):
-        sig[f"{entry.get('config')} simulated_cycles"] = entry.get("simulated_cycles")
-        sig[f"{entry.get('config')} ok"] = entry.get("ok")
-    sig["Spearman"] = Floor(doc.get("spearman"))
-    return sig
-
-
-def no_signature(doc):
-    return {}
-
+MAX_SHOWN = 20
+LABELS = ("name", "kernel", "config", "pass")
 
 # Every schema version an fgpu tool exports (the OBSERVABILITY.md schema
-# index), with the signature its gate compares. A new exporter registers
-# here AND in the index table.
-GATES = {
-    "fgpu.stats.v1": stats_signature,
-    "fgpu.profile.v1": no_signature,
-    "fgpu.hlsprof.v1": no_signature,
-    "fgpu.mem.v1": mem_signature,
-    "fgpu.compare.v1": compare_signature,
-    "fgpu.codegen.v1": codegen_signature,
-    "fgpu.dse.v1": dse_signature,
-    "fgpu.fig7.v1": no_signature,
+# index). A new exporter registers here AND in the index table.
+SCHEMAS = {
+    "fgpu.stats.v1",
+    "fgpu.profile.v1",
+    "fgpu.hlsprof.v1",
+    "fgpu.mem.v1",
+    "fgpu.compare.v1",
+    "fgpu.codegen.v1",
+    "fgpu.dse.v1",
+    "fgpu.fig7.v1",
 }
+
+
+ABSENT = object()  # a value missing on one side
+
+
+def show(value):
+    if value is ABSENT:
+        return "(absent)"
+    if isinstance(value, dict):
+        return f"{{{len(value)} keys}}"
+    if isinstance(value, list):
+        return f"[{len(value)} items]"
+    return json.dumps(value)
+
+
+def elements(items):
+    """An array's elements keyed by label ("vecadd", "licm.hoist#2") or index."""
+    keyed, seen = {}, {}
+    for i, item in enumerate(items):
+        label = next((item[k] for k in LABELS if isinstance(item, dict)
+                      and isinstance(item.get(k), str)), None)
+        if label is None:
+            keyed[str(i)] = item
+            continue
+        seen[label] = seen.get(label, 0) + 1
+        keyed[label if seen[label] == 1 else f"{label}#{seen[label]}"] = item
+    return keyed
+
+
+def differences(base, cur, path=""):
+    """Yields (path, base, cur) for every value that differs, in document order."""
+    if isinstance(base, dict) and isinstance(cur, dict):
+        children = {f"{path}.{k}" if path else k: (base.get(k, ABSENT), cur.get(k, ABSENT))
+                    for k in [*base, *(k for k in cur if k not in base)]}
+    elif isinstance(base, list) and isinstance(cur, list):
+        if len(base) != len(cur):
+            yield f"{path} length", len(base), len(cur)
+        b, c = elements(base), elements(cur)
+        children = {f"{path}[{k}]": (b.get(k, ABSENT), c.get(k, ABSENT))
+                    for k in [*b, *(k for k in c if k not in b)]}
+    else:
+        if type(base) is not type(cur) or base != cur:
+            yield path, base, cur
+        return
+    for child, (b, c) in children.items():
+        if b is ABSENT or c is ABSENT:
+            yield child, b, c
+        else:
+            yield from differences(b, c, child)
+
+
+def first_line_difference(base_text, cur_text):
+    lines = itertools.zip_longest(base_text.split("\n"), cur_text.split("\n"),
+                                  fillvalue="(end)")
+    return next((n, b, c) for n, (b, c) in enumerate(lines, 1) if b != c)
 
 
 def load(path):
@@ -217,38 +130,36 @@ def load(path):
 
 def check_pair(base_path, cur_path):
     """GATING comparison of CUR against the golden BASE. Returns failures."""
-    base, cur = load(base_path), load(cur_path)
-    tag = base.get("schema")
-    if cur.get("schema") != tag:
-        return [f"schema tag drift: baseline {tag!r} vs current {cur.get('schema')!r}"]
-    if tag not in GATES:
-        return [f"{base_path}: unknown schema {tag!r} (known: {', '.join(GATES)})"]
-    kind = tag.split(".")[1]
+    with open(base_path) as f:
+        base_text = f.read()
+    with open(cur_path) as f:
+        cur_text = f.read()
+    base, cur = json.loads(base_text), json.loads(cur_text)
+    tag = (base.get("schema") if isinstance(base, dict) else None) or base_path
+    kind = tag.split(".")[1] if tag.count(".") == 2 else tag
 
     failures = []
-    base_paths, cur_paths = schema_paths(base), schema_paths(cur)
-    for path in sorted(base_paths - cur_paths):
-        failures.append(f"{kind}: schema drift: field '{path}' vanished")
-    for path in sorted(cur_paths - base_paths):
-        failures.append(f"{kind}: schema drift: new field '{path}' not in the baseline "
-                        f"(regenerate {base_path} and bump the schema tag if breaking)")
-
-    base_names, cur_names = by_name(base).keys(), by_name(cur).keys()
-    for name in sorted(base_names - cur_names):
-        failures.append(f"{kind}: {name} present in baseline but missing from the run")
-    for name in sorted(cur_names - base_names):
-        failures.append(f"{kind}: {name} ran but has no baseline entry")
-
-    signature = GATES[tag]
-    base_sig, cur_sig = signature(base), signature(cur)
-    for key in sorted(base_sig.keys() | cur_sig.keys()):
-        want, got = base_sig.get(key), cur_sig.get(key)
-        if want != got:
-            failures.append(f"{kind}: {key} {want!r} -> {got!r}")
+    if base_text != cur_text:
+        diffs = list(differences(base, cur))
+        for path, b, c in diffs[:MAX_SHOWN]:
+            failures.append(f"{kind}: {path} {show(b)} -> {show(c)}")
+        if len(diffs) > MAX_SHOWN:
+            failures.append(f"{kind}: {len(diffs)} differing values, first {MAX_SHOWN} shown")
+        if not diffs:
+            n, b, c = first_line_difference(base_text, cur_text)
+            failures.append(f"{kind}: values equal, bytes differ (key order or whitespace) "
+                            f"at line {n}: {b.strip()!r} -> {c.strip()!r}")
+    if isinstance(cur, dict) and cur.get("schema") == "fgpu.dse.v1":
+        rho = cur.get("spearman")
+        if not isinstance(rho, (int, float)) or rho < SPEARMAN_MIN:
+            failures.append(f"{kind}: {cur_path}: spearman {rho} below the floor {SPEARMAN_MIN}")
     if not failures:
-        print(f"check_baseline: {cur_path} matches {base_path} "
-              f"({len(base_sig)} {kind} signature items)")
+        print(f"check_baseline: {cur_path} matches {base_path} byte for byte")
     return failures
+
+
+def by_name(doc):
+    return {b["name"]: b for b in doc.get("benchmarks", []) if isinstance(b, dict)}
 
 
 def check_turbo_digests(o0, o2):
@@ -320,9 +231,9 @@ def check_schema_list(paths):
         tag = doc.get("schema") if isinstance(doc, dict) else None
         if tag is None:
             failures.append(f"schema-list: {path}: no 'schema' field")
-        elif tag not in GATES:
+        elif tag not in SCHEMAS:
             failures.append(f"schema-list: {path}: unknown schema {tag!r} "
-                            f"(known: {', '.join(GATES)})")
+                            f"(known: {', '.join(sorted(SCHEMAS))})")
     if not failures:
         print(f"schema-list: {len(paths)} document(s), every schema tag is registered")
     return failures

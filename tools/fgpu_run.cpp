@@ -23,6 +23,8 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <sys/stat.h>
+#include <unistd.h>
 #include <utility>
 #include <vector>
 
@@ -293,8 +295,9 @@ int main(int argc, char** argv) {
   const auto& docs = suite::documents();
   std::vector<std::string> doc_paths(docs.size());
   std::string value;
-  // The last flag seen that only means something to a suite run; --dse
-  // replaces that run, so such a flag beside it is a usage error.
+  // The last flag seen that only means something to a suite run; --dse,
+  // --list and --dump-asm replace that run, so such a flag beside one of
+  // them is a usage error.
   const char* suite_only_flag = nullptr;
   bool list_only = false, quiet = false;
   uint32_t hotspots = 0;
@@ -428,13 +431,17 @@ int main(int argc, char** argv) {
 
   options.vortex_config.idle_skip = idle_skip;
 
-  if (!dump_asm_bench.empty()) return dump_asm(dump_asm_bench, options.opt_level);
-
-  if (!dse_path.empty() && suite_only_flag != nullptr) {
-    std::fprintf(stderr, "fgpu-run: %s has no effect with --dse, which replaces the suite run\n",
-                 suite_only_flag);
+  const char* replaced_by = !dump_asm_bench.empty() ? "--dump-asm"
+                            : list_only             ? "--list"
+                            : !dse_path.empty()     ? "--dse"
+                                                    : nullptr;
+  if (replaced_by != nullptr && suite_only_flag != nullptr) {
+    std::fprintf(stderr, "fgpu-run: %s has no effect with %s, which replaces the suite run\n",
+                 suite_only_flag, replaced_by);
     return 2;
   }
+
+  if (!dump_asm_bench.empty()) return dump_asm(dump_asm_bench, options.opt_level);
 
   // Flag/device consistency: each export needs the device(s) that produce
   // its data, so a contradictory --device is a usage error (exit 2), not a
@@ -499,9 +506,25 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Every output path opens before any benchmark runs, so an unwritable
-  // one fails at once instead of after the suite, beside documents
-  // already written.
+  // Every output path is probed, then opened, before any benchmark runs,
+  // so an unwritable one fails at once instead of after the suite. The
+  // probe neither creates nor truncates a file, so a failure leaves no
+  // emptied document behind.
+  const auto writable = [](const std::string& path) {
+    struct stat st;
+    if (stat(path.c_str(), &st) == 0) return !S_ISDIR(st.st_mode) && access(path.c_str(), W_OK) == 0;
+    const size_t slash = path.rfind('/');
+    const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
+    return access(dir.c_str(), W_OK | X_OK) == 0;
+  };
+  std::vector<std::string> out_paths = doc_paths;
+  out_paths.push_back(dse_path);
+  for (const auto& path : out_paths) {
+    if (!path.empty() && !writable(path)) {
+      std::fprintf(stderr, "fgpu-run: cannot write '%s'\n", path.c_str());
+      return 2;
+    }
+  }
   const auto open_output = [](const std::string& path, std::ofstream* out) {
     out->open(path);
     if (!*out) std::fprintf(stderr, "fgpu-run: cannot write '%s'\n", path.c_str());

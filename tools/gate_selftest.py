@@ -2,12 +2,18 @@
 """Self-test of check_baseline.py: proves every gate still bites.
 
 Golden cases: each committed golden (BENCH_table1.json, BENCH_compare.json,
-BENCH_mem.json, BENCH_codegen.json, BENCH_dse.json) compared with itself
-must pass. Each planted drift, written to a temporary copy, must fail, and
-one failure line must name the drifted item (every listed token appears on
-that line). The drifts common to every golden are a field added, a field
-removed, the schema tag flipped and a benchmark dropped; each document kind
-adds drifts of its own signature.
+BENCH_mem.json, BENCH_codegen.json, BENCH_dse.json, BENCH_fig7.json) is
+parsed, edited in a deep copy and written back the way the exporters write
+it (indent 2, trailing newline), so the unedited copy is byte-equal to the
+golden and must pass. Each planted drift must fail, and one failure line
+must name the drifted item (every listed token appears on that line). The
+drifts common to every golden are a field added, a field removed, the
+schema tag flipped and a benchmark dropped; each golden adds drifts of its
+own, down to single leaves (one stall bucket, one remark's text) and a
+key-order-only edit.
+
+Spearman cases: the DSE golden with its spearman set to 0.79 and to 0.8,
+each compared with itself: the first must fail the floor, the second pass.
 
 Digest cases: two tiny fgpu.stats.v1 documents (-O0 and -O2, two
 benchmarks, each with vortex and turbo entries) go through --turbo-digests:
@@ -38,9 +44,9 @@ def run_gate(args):
     return done.returncode, failures, done.stdout + done.stderr
 
 
-def gate(golden, current):
-    """Compares CURRENT against the committed GOLDEN."""
-    return run_gate([golden, current])
+def write(path, doc):
+    with open(path, "w") as f:
+        f.write(json.dumps(doc, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -54,34 +60,40 @@ def first(items, pred):
 
 def field_added(doc):
     doc["selftest_field"] = 0
-    return ["'selftest_field'"]
+    return ["selftest_field", "(absent) -> 0"]
 
 
 def field_removed(doc):
-    if "suite" in doc:
-        key = sorted(doc["suite"])[0]
-        del doc["suite"][key]
-        return [f"'suite.{key}'", "vanished"]
-    del doc["exact_budget"]
-    return ["'exact_budget'", "vanished"]
+    parent, prefix = (doc["suite"], "suite.") if "suite" in doc else (doc, "")
+    key = sorted(k for k in parent if k not in ("schema", "benchmarks"))[0]
+    del parent[key]
+    return [f"{prefix}{key} ", "-> (absent)"]
 
 
 def tag_flipped(doc):
-    doc["schema"] = doc["schema"][:-1] + "2"
-    return [f"'{doc['schema']}'"]
+    before = doc["schema"]
+    doc["schema"] = before[:-1] + "2"
+    return [f'schema "{before}" -> "{doc["schema"]}"']
 
 
 def benchmark_dropped(doc):
     dropped = doc["benchmarks"].pop(0)
-    return [dropped["name"] if isinstance(dropped, dict) else dropped]
+    if isinstance(dropped, dict):
+        return [f"benchmarks[{dropped['name']}] ", "-> (absent)"]
+    return ["benchmarks[0] ", f'"{dropped}" -> (absent)']
 
 
-def stats_cycles(device):
+def stats_leaf(device, *keys):
+    """Bumps one numeric leaf under the first benchmark's DEVICE entry."""
     def mutate(doc):
         bench = doc["benchmarks"][0]
-        cycles = bench[device]["total_cycles"]
-        bench[device]["total_cycles"] = cycles + 1
-        return [f"{bench['name']}/{device}", f"{cycles} -> {cycles + 1}"]
+        parent = bench[device]
+        for key in keys[:-1]:
+            parent = parent[key]
+        before = parent[keys[-1]]
+        parent[keys[-1]] = before + 1
+        path = ".".join((f"benchmarks[{bench['name']}]", device) + keys)
+        return [f"{path} {before} -> {before + 1}"]
     return mutate
 
 
@@ -89,7 +101,22 @@ def stats_ok_flip(doc):
     bench = doc["benchmarks"][0]
     assert bench["vortex"]["ok"] is True
     bench["vortex"]["ok"] = False
-    return [f"{bench['name']}/vortex", "True -> False"]
+    return [f"benchmarks[{bench['name']}].vortex.ok true -> false"]
+
+
+def stats_digest(doc):
+    bench = doc["benchmarks"][0]
+    before = bench["vortex"]["output_digest"]
+    bench["vortex"]["output_digest"] = "0x0000000000000000"
+    return [f"benchmarks[{bench['name']}].vortex.output_digest",
+            f'"{before}" -> "0x0000000000000000"']
+
+
+def stats_key_order(doc):
+    """Reverses the suite object's keys: every value stays, only bytes move.
+    Line 4 is the suite object's first key."""
+    doc["suite"] = dict(reversed(list(doc["suite"].items())))
+    return ["line 4", "key order"]
 
 
 def both_ok(doc):
@@ -99,7 +126,7 @@ def both_ok(doc):
 def compare_coverage(doc):
     bench = both_ok(doc)
     bench["coverage"] = "neither"
-    return [f"{bench['name']} coverage", "'both' -> 'neither'"]
+    return [f"benchmarks[{bench['name']}].coverage", '"both" -> "neither"']
 
 
 def compare_speedup(factor):
@@ -107,9 +134,7 @@ def compare_speedup(factor):
         bench = both_ok(doc)
         before = bench["speedup_hls_over_vortex"]
         bench["speedup_hls_over_vortex"] = before * factor
-        if factor < 1.05:
-            return None
-        return [f"{bench['name']} speedup", f"{before:.4f}x -> {before * factor:.4f}x"]
+        return [f"benchmarks[{bench['name']}].speedup_hls_over_vortex {before} -> "]
     return mutate
 
 
@@ -117,65 +142,88 @@ def mem_miss_class(doc):
     bench = doc["benchmarks"][0]
     kernel = bench["vortex"]["kernels"][0]
     kernel["l1d"]["miss_classes"]["conflict"] += 1
-    return [f"{bench['name']}/vortex/{kernel['kernel']}/l1d"]
+    return [f"benchmarks[{bench['name']}].vortex.kernels[{kernel['kernel']}]"
+            ".l1d.miss_classes.conflict"]
+
+
+def mem_l2_by_pc(doc):
+    bench = doc["benchmarks"][0]
+    kernel = bench["vortex"]["kernels"][0]
+    site = kernel["l2_by_pc"][0]
+    site["misses"] += 1
+    return [f"benchmarks[{bench['name']}].vortex.kernels[{kernel['kernel']}]"
+            f".l2_by_pc[0].misses {site['misses'] - 1} -> {site['misses']}"]
 
 
 def codegen_kernel(doc, pred):
     for bench in doc["benchmarks"]:
         for kernel in bench["kernels"]:
             if pred(kernel):
-                return bench, kernel
+                return f"benchmarks[{bench['name']}].kernels[{kernel['kernel']}]", kernel
     raise AssertionError("no kernel matches")
 
 
 def codegen_spills(doc):
-    bench, kernel = codegen_kernel(doc, lambda k: True)
+    where, kernel = codegen_kernel(doc, lambda k: True)
     slots = kernel["spill_slots"]
     kernel["spill_slots"] = slots + 1
-    return [f"{bench['name']}/{kernel['kernel']}", "spill_slots", f"{slots} -> {slots + 1}"]
+    return [f"{where}.spill_slots {slots} -> {slots + 1}"]
 
 
-def codegen_remark(doc):
-    bench, kernel = codegen_kernel(doc, lambda k: k["remarks"])
+def codegen_remark_added(doc):
+    where, kernel = codegen_kernel(doc, lambda k: k["remarks"])
     remark = kernel["remarks"][0]
-    key = (remark["pass"], remark["action"])
-    count = sum((r["pass"], r["action"]) == key for r in kernel["remarks"])
+    count = sum(r["name"] == remark["name"] for r in kernel["remarks"])
     kernel["remarks"].append(copy.deepcopy(remark))
-    return [f"{bench['name']}/{kernel['kernel']}", "remark count", f"{key[0]}/{key[1]}",
-            f"{count} -> {count + 1}"]
+    return [f"{where}.remarks[{remark['name']}#{count + 1}] (absent) -> "]
+
+
+def codegen_remark_detail(doc):
+    where, kernel = codegen_kernel(doc, lambda k: k["remarks"])
+    remark = kernel["remarks"][0]
+    remark["detail"] += " (edited)"
+    return [f"{where}.remarks[{remark['name']}].detail", "(edited)"]
 
 
 def codegen_pass_after(doc):
-    bench, kernel = codegen_kernel(doc, lambda k: k["passes"])
+    where, kernel = codegen_kernel(doc, lambda k: k["passes"])
     stage = kernel["passes"][-1]
     key = sorted(stage["after"])[0]
     stage["after"][key] += 1
-    return [f"{bench['name']}/{kernel['kernel']}", f"stage '{stage['pass']}'"]
+    return [f"{where}.passes[{stage['pass']}].after.{key}"]
 
 
 def dse_funnel(doc):
     survivors = doc["funnel"]["analytical"]["survivors"]
     doc["funnel"]["analytical"]["survivors"] = survivors + 1
-    return ["analytical.survivors", f"{survivors} -> {survivors + 1}"]
+    return [f"funnel.analytical.survivors {survivors} -> {survivors + 1}"]
 
 
 def dse_pareto(doc):
     label = doc["pareto"].pop(0)
-    return [f"'{label}'", "Pareto"]
+    return ["pareto[0] ", f'"{label}" -> ']
 
 
-def dse_cycles(doc):
-    entry = doc["evaluated"][0]
-    cycles = entry["simulated_cycles"]
-    entry["simulated_cycles"] = cycles + 1
-    return [entry["config"], "simulated", f"{cycles} -> {cycles + 1}"]
-
-
-def dse_spearman(value):
+def dse_evaluated(field):
     def mutate(doc):
-        doc["spearman"] = value
-        return None if value >= 0.8 else ["Spearman", f"{value:.4f} below the floor 0.8"]
+        entry = doc["evaluated"][0]
+        before = entry[field]
+        entry[field] = before + 1
+        return [f"evaluated[{entry['config']}].{field} {before} -> {before + 1}"]
     return mutate
+
+
+def fig7_cell(doc):
+    bench = doc["benchmarks"][0]
+    before = bench["cycles"][0][0]
+    bench["cycles"][0][0] = before + 1
+    return [f"benchmarks[{bench['name']}].cycles[0][0] {before} -> {before + 1}"]
+
+
+def fig7_size_dropped(doc):
+    doc["sizes"].pop()
+    n = len(doc["sizes"])
+    return [f"sizes length {n + 1} -> {n}"]
 
 
 COMMON = [
@@ -188,29 +236,37 @@ COMMON = [
 
 GOLDENS = {
     "BENCH_table1.json": [
-        ("vortex total_cycles +1", stats_cycles("vortex")),
-        ("hls total_cycles +1", stats_cycles("hls")),
+        ("vortex total_cycles +1", stats_leaf("vortex", "total_cycles")),
+        ("hls total_cycles +1", stats_leaf("hls", "total_cycles")),
         ("vortex ok flipped", stats_ok_flip),
+        ("vortex stalls.lsu +1", stats_leaf("vortex", "last_launch", "perf", "stalls", "lsu")),
+        ("vortex output_digest changed", stats_digest),
+        ("suite keys reordered", stats_key_order),
     ],
     "BENCH_compare.json": [
         ("coverage changed", compare_coverage),
         ("speedup drift 6%", compare_speedup(1.06)),
-        ("speedup drift 4% (within tolerance)", compare_speedup(1.04)),
+        ("speedup drift 4%", compare_speedup(1.04)),
     ],
     "BENCH_mem.json": [
         ("l1d conflict misses +1", mem_miss_class),
+        ("l2_by_pc misses +1", mem_l2_by_pc),
     ],
     "BENCH_codegen.json": [
         ("spill_slots +1", codegen_spills),
-        ("remark count +1", codegen_remark),
+        ("remark added", codegen_remark_added),
+        ("remark detail edited", codegen_remark_detail),
         ("pass after-size +1", codegen_pass_after),
     ],
     "BENCH_dse.json": [
         ("funnel count +1", dse_funnel),
         ("Pareto member dropped", dse_pareto),
-        ("simulated_cycles +1", dse_cycles),
-        ("Spearman below 0.8", dse_spearman(0.79)),
-        ("Spearman at 0.8", dse_spearman(0.8)),
+        ("simulated_cycles +1", dse_evaluated("simulated_cycles")),
+        ("predicted_cycles +1", dse_evaluated("predicted_cycles")),
+    ],
+    "BENCH_fig7.json": [
+        ("cycle cell +1", fig7_cell),
+        ("sweep size dropped", fig7_size_dropped),
     ],
 }
 
@@ -227,9 +283,8 @@ def golden_cases(tmp):
             count += 1
             planted = copy.deepcopy(doc)
             want = mutate(planted)
-            with open(current, "w") as f:
-                json.dump(planted, f)
-            rc, lines, output = gate(golden, current)
+            write(current, planted)
+            rc, lines, output = run_gate([golden, current])
             if want is None:
                 ok = rc == 0
             else:
@@ -238,6 +293,23 @@ def golden_cases(tmp):
                 failures.append(f"{name} {label}: exit {rc}, want "
                                 f"{'pass' if want is None else want}; output:\n{output}")
     return count, failures
+
+
+def spearman_cases(tmp):
+    """The floor holds on any current DSE document, golden or not: each
+    planted copy is compared with itself."""
+    with open(os.path.join(ROOT, "BENCH_dse.json")) as f:
+        doc = json.load(f)
+    path = os.path.join(tmp, "dse.json")
+    failures = []
+    cases = [(0.79, 1, "spearman 0.79 below the floor 0.8"), (0.8, 0, "")]
+    for value, want_rc, want_text in cases:
+        doc["spearman"] = value
+        write(path, doc)
+        rc, _, output = run_gate([path, path])
+        if rc != want_rc or want_text not in output:
+            failures.append(f"spearman {value}: exit {rc} (want {want_rc}), output:\n{output}")
+    return len(cases), failures
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +356,7 @@ def digest_cases(tmp):
         paths = []
         for name, doc in (("o0.json", a), ("o2.json", b)):
             path = os.path.join(tmp, name)
-            with open(path, "w") as f:
-                json.dump(doc, f)
+            write(path, doc)
             paths.append(path)
         rc, _, output = run_gate([*paths, "--turbo-digests"])
         if rc != want_rc or want_text not in output:
@@ -294,14 +365,18 @@ def digest_cases(tmp):
 
 
 def main():
+    counts = []
+    failures = []
     with tempfile.TemporaryDirectory() as tmp:
-        goldens, failures = golden_cases(tmp)
-        digests, digest_failures = digest_cases(tmp)
-    failures += digest_failures
+        for cases in (golden_cases, spearman_cases, digest_cases):
+            count, found = cases(tmp)
+            counts.append(count)
+            failures += found
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     if not failures:
-        print(f"gate self-test: {goldens} golden cases and {digests} digest cases as expected")
+        print(f"gate self-test: {counts[0]} golden cases, {counts[1]} Spearman cases and "
+              f"{counts[2]} digest cases as expected")
     return 1 if failures else 0
 
 

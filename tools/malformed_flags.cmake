@@ -1,6 +1,8 @@
 # Runs fgpu-run once per malformed numeric flag value and expects exit 2
 # with a message naming the flag: a usage error, never a crash and never a
-# silently wrapped value. --list makes a wrongly accepted value exit at once.
+# silently wrapped value. --list makes a wrongly accepted value exit at once;
+# a suite-only flag accepted beside --list exits 2 too, but with the "has no
+# effect" message, which therefore must not appear.
 #   cmake -DFGPU_RUN=build/tools/fgpu-run -P tools/malformed_flags.cmake
 set(cases
   --jobs=abc --jobs=-1 --jobs=+4 --jobs= --jobs=4294967296
@@ -15,7 +17,8 @@ foreach(arg IN LISTS cases)
   execute_process(COMMAND "${FGPU_RUN}" --list "${arg}"
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
   string(FIND "${err}" "${flag}" named)
-  if(NOT rc STREQUAL "2" OR named EQUAL -1)
+  string(FIND "${err}" "has no effect" accepted)
+  if(NOT rc STREQUAL "2" OR named EQUAL -1 OR NOT accepted EQUAL -1)
     list(APPEND failures "  ${arg}: exit '${rc}', stderr '${err}'")
   endif()
 endforeach()
