@@ -1210,20 +1210,17 @@ Result<vasm::Program> emit_program(const MFunction& fn, const Allocation& alloc,
     auto resolve = [&](int reg, bool flt, bool is_def) -> int {
       if (reg < 0) return 0;
       if (!is_virtual(reg)) return phys_index(reg);
-      auto assigned = alloc.assignment.find(reg);
-      if (assigned != alloc.assignment.end()) return phys_index(assigned->second);
-      if (auto split = alloc.split.find(reg); split != alloc.split.end()) {
-        const SplitAssign& s = split->second;
-        if (pos < s.split_pos) {
-          // Register phase. The (single) def also stores to the slot so the
-          // post-split accesses see the value.
-          const int phys = phys_index(s.phys);
-          if (is_def) rd_spill = Spill{phys, s.slot, flt};
-          return phys;
-        }
-        return spill_access(s.slot, flt, is_def);  // slot phase
+      const VregHome& h = alloc.home(reg);
+      assert(h.kind != VregHome::Kind::kNone && "vreg accessed but never allocated");
+      if (h.kind == VregHome::Kind::kRegister) return phys_index(h.phys);
+      if (h.kind == VregHome::Kind::kSplit && pos < h.split_pos) {
+        // Register phase. The (single) def also stores to the slot so the
+        // post-split accesses see the value.
+        const int phys = phys_index(h.phys);
+        if (is_def) rd_spill = Spill{phys, h.slot, flt};
+        return phys;
       }
-      return spill_access(alloc.spill_slot.at(reg), flt, is_def);
+      return spill_access(h.slot, flt, is_def);  // spilled whole, or split's slot phase
     };
 
     if (m.is_li) {
@@ -1448,13 +1445,11 @@ Result<CompiledKernel> compile_kernel(const kir::Kernel& kernel, const Options& 
       const int pos = static_cast<int>(i);
       auto count = [&](int r, bool is_def) {
         if (r < kFirstVirtual) return;
-        if (v.alloc.spill_slot.count(r)) {
+        const VregHome& h = v.alloc.home(r);
+        if (h.kind == VregHome::Kind::kSlot ||
+            (h.kind == VregHome::Kind::kSplit && (is_def || pos >= h.split_pos))) {
           ++v.stack_refs;
-          return;
         }
-        auto it = v.alloc.split.find(r);
-        if (it == v.alloc.split.end()) return;
-        if (is_def || pos >= it->second.split_pos) ++v.stack_refs;
       };
       count(m.rd, /*is_def=*/true);
       count(m.rs1, false);

@@ -44,24 +44,45 @@ std::vector<BackEdge> collect_back_edges(const MFunction& fn) {
   return back_edges;
 }
 
-// Per-vreg access positions (sorted) and def count, for the spill-cost
-// heuristic and the split-safety check.
-struct AccessInfo {
+// Calls `fn(k)` once for each distinct vreg `m` accesses, k = vreg - kFirstVirtual.
+template <typename Fn>
+void for_each_vreg(const MInstr& m, Fn&& fn) {
+  const int regs[4] = {m.rs1, m.rs2, m.rs3, m.rd};
+  for (int i = 0; i < 4; ++i) {
+    if (!is_virtual(regs[i])) continue;
+    bool repeat = false;
+    for (int j = 0; j < i; ++j) repeat = repeat || regs[j] == regs[i];
+    if (!repeat) fn(static_cast<size_t>(regs[i] - kFirstVirtual));
+  }
+}
+
+// Every vreg's sorted access positions in one flat array (CSR layout: the
+// positions of vreg index k are positions[begin[k] .. begin[k+1])), plus
+// def counts, for the spill-cost heuristic and the split-safety check.
+struct Accesses {
+  std::vector<int> begin;
   std::vector<int> positions;
-  int def_count = 0;
+  std::vector<int> def_count;
 
-  int def_pos() const { return positions.empty() ? -1 : positions.front(); }
+  const int* first(int vreg) const {
+    return positions.data() + begin[static_cast<size_t>(vreg - kFirstVirtual)];
+  }
+  const int* last(int vreg) const {
+    return positions.data() + begin[static_cast<size_t>(vreg - kFirstVirtual) + 1];
+  }
+  int defs(int vreg) const { return def_count[static_cast<size_t>(vreg - kFirstVirtual)]; }
 
-  // First access at position >= pos, or INT_MAX.
-  int next_access(int pos) const {
-    auto it = std::lower_bound(positions.begin(), positions.end(), pos);
-    return it == positions.end() ? INT_MAX : *it;
+  int def_pos(int vreg) const { return first(vreg) == last(vreg) ? -1 : *first(vreg); }
+
+  // Accesses at positions >= pos.
+  int64_t count_from(int vreg, int pos) const {
+    return last(vreg) - std::lower_bound(first(vreg), last(vreg), pos);
   }
 
-  // Any access in [lo, hi)?
-  bool accessed_in(int lo, int hi) const {
-    auto it = std::lower_bound(positions.begin(), positions.end(), lo);
-    return it != positions.end() && *it < hi;
+  // First access at position >= pos, or INT_MAX.
+  int next_access(int vreg, int pos) const {
+    const int* it = std::lower_bound(first(vreg), last(vreg), pos);
+    return it == last(vreg) ? INT_MAX : *it;
   }
 };
 
@@ -71,26 +92,29 @@ size_t vreg_count(const MFunction& fn) {
   return static_cast<size_t>(std::max(fn.next_vreg - kFirstVirtual, 0));
 }
 
-std::vector<AccessInfo> collect_accesses(const MFunction& fn) {
-  std::vector<AccessInfo> info(vreg_count(fn));
-  for (size_t i = 0; i < fn.code.size(); ++i) {
+// A count pass sizes each vreg's range; a fill pass walks the code
+// backwards, so each range fills from its end and comes out ascending.
+Accesses collect_accesses(const MFunction& fn) {
+  Accesses acc;
+  const size_t n = vreg_count(fn);
+  acc.begin.assign(n + 1, 0);
+  acc.def_count.assign(n, 0);
+  for (const MInstr& m : fn.code) {
+    if (m.is_label()) continue;
+    for_each_vreg(m, [&](size_t k) { ++acc.begin[k]; });
+    if (is_virtual(m.rd)) ++acc.def_count[static_cast<size_t>(m.rd - kFirstVirtual)];
+  }
+  for (size_t k = 1; k < n; ++k) acc.begin[k] += acc.begin[k - 1];  // range ends
+  acc.begin[n] = n > 0 ? acc.begin[n - 1] : 0;
+  acc.positions.resize(static_cast<size_t>(acc.begin[n]));
+  for (size_t i = fn.code.size(); i-- > 0;) {
     const MInstr& m = fn.code[i];
     if (m.is_label()) continue;
-    const int pos = static_cast<int>(i);
-    auto touch = [&](int reg) {
-      if (!is_virtual(reg)) return;
-      auto& a = info[static_cast<size_t>(reg - kFirstVirtual)];
-      if (a.positions.empty() || a.positions.back() != pos) a.positions.push_back(pos);
-    };
-    touch(m.rs1);
-    touch(m.rs2);
-    touch(m.rs3);
-    if (is_virtual(m.rd)) {
-      touch(m.rd);
-      ++info[static_cast<size_t>(m.rd - kFirstVirtual)].def_count;
-    }
+    for_each_vreg(m, [&](size_t k) {
+      acc.positions[static_cast<size_t>(--acc.begin[k])] = static_cast<int>(i);
+    });
   }
-  return info;
+  return acc;
 }
 
 }  // namespace
@@ -147,17 +171,21 @@ std::vector<Interval> compute_intervals(const MFunction& fn) {
 
 Allocation allocate_registers(const MFunction& fn, const RegAllocConfig& config,
                               RemarkSink* sink) {
+  using Kind = VregHome::Kind;
   Allocation alloc;
-  const auto intervals = compute_intervals(fn);
-  const auto accesses = collect_accesses(fn);
-  const auto back_edges = collect_back_edges(fn);
-  const auto access = [&](int vreg) -> const AccessInfo& {
-    return accesses[static_cast<size_t>(vreg - kFirstVirtual)];
+  alloc.homes.resize(vreg_count(fn));
+  const auto home = [&](int vreg) -> VregHome& {
+    return alloc.homes[static_cast<size_t>(vreg - kFirstVirtual)];
   };
+  const auto intervals = compute_intervals(fn);
+  const Accesses access = collect_accesses(fn);
+  const auto back_edges = collect_back_edges(fn);
 
   // Peak simultaneous liveness over both register classes (intervals are
-  // sorted by start): the `max_pressure` figure of the pass telemetry.
-  {
+  // sorted by start): the `max_pressure` figure of the pass telemetry, which
+  // only a remark sink's caller reads.
+  if (sink != nullptr) {
+    alloc.max_pressure = 0;
     std::priority_queue<int, std::vector<int>, std::greater<int>> live_ends;
     for (const auto& interval : intervals) {
       while (!live_ends.empty() && live_ends.top() < interval.start) live_ends.pop();
@@ -171,11 +199,9 @@ Allocation allocate_registers(const MFunction& fn, const RegAllocConfig& config,
   // number of accesses the stack will serve (the decision's cost proxy).
   const auto note = [&](const char* name, const char* detail, int vreg, int from_pos) {
     if (sink == nullptr) return;
-    const auto& a = access(vreg);
-    const int64_t served = a.positions.end() - std::lower_bound(a.positions.begin(),
-                                                                a.positions.end(), from_pos);
+    const int64_t served = access.count_from(vreg, from_pos);
     std::string site = "<unknown>";
-    const int def = a.def_pos();
+    const int def = access.def_pos(vreg);
     if (def >= 0 && static_cast<size_t>(def) < fn.code.size()) {
       const int src = fn.code[static_cast<size_t>(def)].src;
       if (src >= 0 && static_cast<size_t>(src) < fn.sources.size()) {
@@ -192,13 +218,13 @@ Allocation allocate_registers(const MFunction& fn, const RegAllocConfig& config,
   // exactly when it skips W's def (to > def) and W still has register
   // accesses in [to, P).
   auto split_safe = [&](int vreg, int split_pos) {
-    const auto& a = access(vreg);
-    if (a.def_count != 1) return false;
-    const int def = a.def_pos();
+    if (access.defs(vreg) != 1) return false;
+    const int def = access.def_pos(vreg);
     if (def < 0 || def >= split_pos) return false;
-    if (a.next_access(split_pos) == INT_MAX) return false;  // nothing to serve
+    if (access.next_access(vreg, split_pos) == INT_MAX) return false;  // nothing to serve
     for (const auto& edge : back_edges) {
-      if (edge.from >= split_pos && edge.to > def && a.accessed_in(edge.to, split_pos)) {
+      if (edge.from >= split_pos && edge.to > def &&
+          access.next_access(vreg, edge.to) < split_pos) {
         return false;
       }
     }
@@ -211,7 +237,6 @@ Allocation allocate_registers(const MFunction& fn, const RegAllocConfig& config,
     int vreg;
     int start;  // first position the slot holds a live value (the store)
     int end;
-    bool is_split;
   };
   std::vector<SlotRequest> requests;
 
@@ -241,7 +266,7 @@ Allocation allocate_registers(const MFunction& fn, const RegAllocConfig& config,
       if (!free_regs.empty()) {
         const int phys = free_regs.back();
         free_regs.pop_back();
-        alloc.assignment[interval.vreg] = encode(phys);
+        home(interval.vreg) = {Kind::kRegister, encode(phys)};
         active.push_back({interval, phys});
         continue;
       }
@@ -250,44 +275,42 @@ Allocation allocate_registers(const MFunction& fn, const RegAllocConfig& config,
       // stack — then later end, then lower vreg). The current interval
       // competes with its first access *after* its def.
       auto cost_key = [&](const Interval& iv, int next) {
-        const auto& a = access(iv.vreg);
-        const int remaining =
-            static_cast<int>(a.positions.end() -
-                             std::lower_bound(a.positions.begin(), a.positions.end(), start));
+        const auto remaining = access.count_from(iv.vreg, start);
         return std::make_tuple(next, -remaining, iv.end, -iv.vreg);
       };
-      const int current_next = access(interval.vreg).next_access(start + 1);
+      const int current_next = access.next_access(interval.vreg, start + 1);
       Active* victim = nullptr;
       for (auto& cand : active) {
-        const int cand_next = access(cand.interval.vreg).next_access(start);
+        const int cand_next = access.next_access(cand.interval.vreg, start);
         if (!victim || cost_key(cand.interval, cand_next) >
                            cost_key(victim->interval,
-                                    access(victim->interval.vreg).next_access(start))) {
+                                    access.next_access(victim->interval.vreg, start))) {
           victim = &cand;
         }
       }
       const int victim_next =
-          victim ? access(victim->interval.vreg).next_access(start) : INT_MIN;
+          victim ? access.next_access(victim->interval.vreg, start) : INT_MIN;
       if (victim && cost_key(victim->interval, victim_next) >
                         cost_key(interval, current_next)) {
         // Evict the victim; split it if safe, spill it whole otherwise.
         const int w = victim->interval.vreg;
-        alloc.assignment.erase(w);
         if (split_safe(w, start)) {
           note("ra.split", "evicted live range split: register until eviction, stack after",
                w, start);
-          alloc.split[w] = SplitAssign{encode(victim->phys), start, -1};
-          requests.push_back({w, access(w).def_pos(), victim->interval.end, true});
+          home(w) = {Kind::kSplit, encode(victim->phys), start};
+          requests.push_back({w, access.def_pos(w), victim->interval.end});
         } else {
           note("ra.spill", "evicted live range spilled whole", w, victim->interval.start);
-          requests.push_back({w, victim->interval.start, victim->interval.end, false});
+          home(w) = {Kind::kSlot};
+          requests.push_back({w, victim->interval.start, victim->interval.end});
         }
-        alloc.assignment[interval.vreg] = encode(victim->phys);
+        home(interval.vreg) = {Kind::kRegister, encode(victim->phys)};
         victim->interval = interval;
       } else {
         note("ra.spill", "no profitable eviction: interval spilled at definition",
              interval.vreg, start);
-        requests.push_back({interval.vreg, start, interval.end, false});
+        home(interval.vreg) = {Kind::kSlot};
+        requests.push_back({interval.vreg, start, interval.end});
       }
     }
   }
@@ -309,11 +332,7 @@ Allocation allocate_registers(const MFunction& fn, const RegAllocConfig& config,
       slot = next_slot++;
     }
     in_use.push({req.end, slot});
-    if (req.is_split) {
-      alloc.split[req.vreg].slot = slot;
-    } else {
-      alloc.spill_slot[req.vreg] = slot;
-    }
+    home(req.vreg).slot = slot;
   }
   alloc.num_spill_slots = next_slot;
   return alloc;

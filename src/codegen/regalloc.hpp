@@ -12,9 +12,16 @@
 // non-overlapping spilled ranges share slots. Intervals that cannot be
 // split spill whole and are rewritten through reserved scratch registers at
 // emission time.
+//
+// The result is one dense table, `Allocation::homes`, with one `VregHome`
+// per vreg: emission and the stack-traffic census resolve a vreg with one
+// indexed load. The allocator's own per-vreg data (intervals, the sorted
+// access positions of every vreg in one flat array) is dense as well, so
+// the number of heap blocks an allocation makes does not grow with the
+// number of vregs.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "codegen/minstr.hpp"
@@ -22,29 +29,36 @@
 
 namespace fgpu::codegen {
 
-// A split live range: `phys` serves accesses at positions < `split_pos`;
-// the def additionally stores to `slot`, which serves every access at
-// positions >= `split_pos` through the spill-scratch path.
-struct SplitAssign {
-  int phys = -1;      // physical register (encoded like Allocation::assignment)
+// Where one vreg lives. Exactly one of four cases, so a vreg can never be
+// both in a register and in a slot:
+//   kNone     the vreg has no access in the function;
+//   kRegister `phys` for its whole interval;
+//   kSlot     stack `slot` at every access (spilled whole);
+//   kSplit    `phys` serves accesses at positions < `split_pos`; the def
+//             additionally stores to `slot`, which serves every access at
+//             positions >= `split_pos` through the spill-scratch path.
+struct VregHome {
+  enum class Kind : uint8_t { kNone, kRegister, kSlot, kSplit };
+  Kind kind = Kind::kNone;
+  int phys = -1;      // x index, or f index + kPhysFloatBase
   int split_pos = 0;  // first instruction index served from the slot
   int slot = -1;      // stack slot (4-byte units from sp)
 };
 
 struct Allocation {
-  // vreg -> physical register (x index, or f index + kPhysFloatBase).
-  std::unordered_map<int, int> assignment;
-  // vreg -> stack slot (4-byte units from sp). Disjoint from `assignment`.
-  std::unordered_map<int, int> spill_slot;
-  // vreg -> split live range. Disjoint from both maps above.
-  std::unordered_map<int, SplitAssign> split;
+  // One entry per vreg of the function, indexed by `vreg - kFirstVirtual`.
+  std::vector<VregHome> homes;
   int num_spill_slots = 0;
   // Peak number of simultaneously live intervals (both register classes) —
   // the pressure figure of the per-pass telemetry (remarks.hpp IrSnapshot).
-  int max_pressure = 0;
+  // Computed only when allocate_registers is given a remark sink; -1 otherwise.
+  int max_pressure = -1;
 
-  bool is_spilled(int vreg) const { return spill_slot.contains(vreg); }
-  bool is_split(int vreg) const { return split.contains(vreg); }
+  const VregHome& home(int vreg) const {
+    return homes[static_cast<size_t>(vreg - kFirstVirtual)];
+  }
+  bool is_spilled(int vreg) const { return home(vreg).kind == VregHome::Kind::kSlot; }
+  bool is_split(int vreg) const { return home(vreg).kind == VregHome::Kind::kSplit; }
 };
 
 struct RegAllocConfig {
@@ -61,7 +75,8 @@ struct RegAllocConfig {
 // the operand slots it appears in (a vreg must be used consistently).
 // Deterministic: identical input produces an identical allocation. A
 // non-null `sink` receives a remark per spill/split decision with the
-// defining statement's KIR provenance; null changes nothing.
+// defining statement's KIR provenance and turns on `max_pressure`; the
+// homes are the same either way.
 Allocation allocate_registers(const MFunction& fn, const RegAllocConfig& config = {},
                               RemarkSink* sink = nullptr);
 

@@ -34,8 +34,8 @@ inline const char* to_string(Scalar s) { return s == Scalar::kI32 ? "int" : "flo
 // to a change (rebuild_args below) and keep every untouched subtree as the
 // same pointer, so after a rewrite one node may be shared by several parents
 // or statements. The exception is expand_builtins' output: it copies every
-// node, giving each occurrence its own node, because load sites are keyed by
-// node address (see expand_builtins in passes.hpp).
+// load, giving each occurrence of a load its own node, because load sites
+// are keyed by node address (see expand_builtins in passes.hpp).
 // ---------------------------------------------------------------------------
 
 enum class ExprKind : uint8_t {

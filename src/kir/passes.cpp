@@ -592,9 +592,12 @@ ExprPtr expand_powi(const ExprPtr& base, const ExprPtr& exponent) {
   return result;
 }
 
+// Copy-on-write, except that every load is copied: the tree walk visits a
+// shared subtree once per occurrence, so each occurrence of a load comes
+// out as its own node (see expand_builtins in passes.hpp).
 ExprPtr expand_expr(const ExprPtr& e, int& count) {
-  auto node = std::make_shared<Expr>(*e);
-  for (auto& arg : node->args) arg = expand_expr(arg, count);
+  ExprPtr node = rebuild_args(e, [&](const ExprPtr& arg) { return expand_expr(arg, count); });
+  if (node->kind == ExprKind::kLoad && node == e) return std::make_shared<Expr>(*e);
   if (node->kind != ExprKind::kCall) return node;
   switch (node->call) {
     case Builtin::kExp: ++count; return expand_exp(node->args[0]);

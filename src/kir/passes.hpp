@@ -58,16 +58,19 @@ int mark_pipelined_loads_in_lets(Kernel& kernel);
 // approximations using bit-level float manipulation). sqrt stays native —
 // both targets have hardware sqrt. Returns number of expanded calls.
 //
-// Unlike the copy-on-write rewrites, this pass copies every node it visits,
-// so an expression node shared by several parents in the input (`x * x`
-// built from one load) comes out as one node per occurrence. (An expanded
-// builtin's polynomial reuses its argument's copy; that is the only
-// sharing in the output.) Keep the copy: HLS access sites
-// (hls::AccessSite::site) and the interpreter's per-site counts (SiteCount)
-// key on node address, and two occurrences sharing one load node would
-// give both HLS sites their merged count. The consumers that key on sites,
-// the HLS cache and the analytical model, run clone_kernel +
-// expand_builtins first.
+// Copy-on-write like the other rewrites, with one exception: every load is
+// copied, once per occurrence, so a load node shared by several parents in
+// the input (`x * x` built from one load) comes out as one node per
+// occurrence, and so does every node on the path above it. (An expanded
+// builtin's polynomial reuses its argument's copy; among loads that is the
+// only sharing in the output.) A subtree with no load and no expanded call
+// is returned as the input's own pointer. Keep the load copy: HLS access
+// sites (hls::AccessSite::site) and the interpreter's per-site counts
+// (SiteCount) key on load node address, and two occurrences sharing one
+// load node would give both HLS sites their merged count. No consumer keys
+// on the address of any other node. The consumers that key on sites, the
+// HLS cache and the analytical model, run clone_kernel + expand_builtins
+// first.
 int expand_builtins(Kernel& kernel);
 int expand_builtins(Module& module);
 

@@ -52,7 +52,8 @@ struct MemStats {
   uint64_t evictions = 0;
   uint64_t writebacks = 0;
   uint64_t mshr_merges = 0;
-  uint64_t stall_rejects = 0;  // sends refused due to back-pressure
+  uint64_t stall_rejects = 0;  // sends refused due to back-pressure; 0 today, as
+                               // every sender checks can_accept() first
 
   bool operator==(const MemStats&) const = default;
 

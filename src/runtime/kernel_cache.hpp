@@ -1,7 +1,7 @@
 // Process-wide compiled-kernel cache: memoizes codegen::compile_kernel
 // results so re-building the same kernel — across --repeat iterations,
 // across the vortex and turbo tiers (which share binaries by construction),
-// and across any future long-running host (ROADMAP item 2, fgpu-serve) —
+// and across any future long-running host such as a compile server —
 // costs a hash lookup instead of a full compile.
 //
 // Key: content digest of the KIR kernel (kir::kernel_digest — every

@@ -8,9 +8,11 @@
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "kir/build.hpp"
+#include "kir/digest.hpp"
 #include "kir/interp.hpp"
 #include "kir/passes.hpp"
 #include "runtime/vortex_device.hpp"
+#include "suite/suite.hpp"
 
 namespace fgpu {
 namespace {
@@ -361,6 +363,27 @@ TEST(CodegenTest, RegisterPressureSpills) {
 
   run_and_compare(kb.build(), {{random_ints(n, 16, -100, 100)}, {std::vector<uint32_t>(n, 0)}},
                   {}, NDRange::linear(n, 32));
+}
+
+TEST(CodegenTest, CompilingLeavesTheInputKernelUnchanged) {
+  // The pipeline shares every untouched node with its input (copy-on-write
+  // rewrites and builtin expansion); none of it may write through to the
+  // caller's kernel, whose digest keys the kernel cache.
+  for (const auto& name : suite::all_benchmark_names()) {
+    const auto bench = suite::shared_benchmark(name);
+    for (const auto& kernel : bench->module.kernels) {
+      const uint64_t digest = kir::kernel_digest(kernel);
+      const std::string text = kernel.to_string();
+      for (int opt : {0, 1, 2}) {
+        codegen::Options options;
+        options.opt_level = opt;
+        auto compiled = codegen::compile_kernel(kernel, options);
+        ASSERT_TRUE(compiled.is_ok()) << kernel.name << " -O" << opt;
+        EXPECT_EQ(kir::kernel_digest(kernel), digest) << kernel.name << " -O" << opt;
+        EXPECT_EQ(kernel.to_string(), text) << kernel.name << " -O" << opt;
+      }
+    }
+  }
 }
 
 TEST(CodegenTest, PrintfReachesConsole) {

@@ -259,6 +259,60 @@ TEST(KirBuiltinExpansionTest, RemovesAllSoftwareBuiltins) {
   EXPECT_FALSE(has_soft_call(kernel.body[0]->b));
 }
 
+TEST(KirBuiltinExpansionTest, KeepsLoadFreeBuiltinFreeSubtreesAsTheSamePointer) {
+  KernelBuilder kb("k");
+  Buf a = kb.buf_f32("a"), out = kb.buf_f32("out");
+  Val x = kb.param_f32("x");
+  Val gid = kb.global_id(0);
+  kb.store(out, gid, x * 3.0f + to_f32(gid));              // nothing to expand
+  kb.store(out, gid + 1, vexp(x) + (x * 2.0f));            // a builtin beside a pure subtree
+  kb.store(out, gid + 2, vsqrt(x * x) + kb.load(a, gid));  // a load beside a native call
+  Kernel kernel = kb.build();
+  Kernel expanded = clone_kernel(kernel);
+  EXPECT_EQ(expand_builtins(expanded), 1);
+
+  // Untouched statement operands are the input's own nodes.
+  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(expanded.body[i]->a, kernel.body[i]->a) << i;
+  EXPECT_EQ(expanded.body[0]->b, kernel.body[0]->b);
+  // Only the path to the expanded call is rebuilt; its pure sibling is kept.
+  EXPECT_NE(expanded.body[1]->b, kernel.body[1]->b);
+  EXPECT_EQ(expanded.body[1]->b->b(), kernel.body[1]->b->b());
+  // A load is copied even though nothing under it changed, and so is its
+  // parent; the load-free sqrt subtree next to it is kept.
+  EXPECT_NE(expanded.body[2]->b, kernel.body[2]->b);
+  EXPECT_NE(expanded.body[2]->b->b(), kernel.body[2]->b->b());
+  EXPECT_TRUE(expr_equal(expanded.body[2]->b->b(), kernel.body[2]->b->b()));
+  EXPECT_EQ(expanded.body[2]->b->a(), kernel.body[2]->b->a());
+}
+
+TEST(KirBuiltinExpansionTest, NestedSharedLoadsBecomeOneNodePerOccurrence) {
+  // `a[b[i]]` built once and used twice: after expansion both the outer and
+  // the inner load are distinct nodes per occurrence, and none is the input's.
+  KernelBuilder kb("k");
+  Buf a = kb.buf_f32("a"), b = kb.buf_i32("b"), out = kb.buf_f32("out");
+  Val gid = kb.global_id(0);
+  Val v = kb.load(a, kb.load(b, gid));
+  kb.store(out, gid, v + v);
+  Kernel kernel = kb.build();
+  const ExprPtr& sum = kernel.body[0]->b;
+  ASSERT_EQ(sum->a(), sum->b());
+
+  Kernel expanded = clone_kernel(kernel);
+  expand_builtins(expanded);
+  const ExprPtr& copied = expanded.body[0]->b;
+  ASSERT_EQ(copied->a()->kind, ExprKind::kLoad);
+  ASSERT_EQ(copied->a()->a()->kind, ExprKind::kLoad);
+  EXPECT_NE(copied->a(), copied->b());
+  EXPECT_NE(copied->a()->a(), copied->b()->a());
+  for (const ExprPtr& outer : {copied->a(), copied->b()}) {
+    EXPECT_NE(outer, sum->a());
+    EXPECT_NE(outer->a(), sum->a()->a());
+    EXPECT_TRUE(expr_equal(outer, sum->a()));
+  }
+  // The inner loads' own index (a load-free subtree) is shared, not copied.
+  EXPECT_EQ(copied->a()->a()->a(), sum->a()->a()->a());
+}
+
 TEST(KirDivergenceTest, ClassifiesControlFlow) {
   KernelBuilder kb("k");
   Buf data = kb.buf_i32("data");

@@ -3,6 +3,8 @@
 // area/vortex model sanity checks that share this file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "codegen/regalloc.hpp"
 #include "vortex/area.hpp"
 
@@ -10,6 +12,12 @@ namespace fgpu::codegen {
 namespace {
 
 using arch::Op;
+using Kind = VregHome::Kind;
+
+size_t count_homes(const Allocation& alloc, Kind kind) {
+  return static_cast<size_t>(std::count_if(alloc.homes.begin(), alloc.homes.end(),
+                                           [&](const VregHome& h) { return h.kind == kind; }));
+}
 
 MInstr alu(int rd, int rs1, int rs2) {
   MInstr m;
@@ -85,7 +93,7 @@ TEST(RegAllocTest, NoSpillWhenRegistersSuffice) {
   for (int i = 0; i < 10; ++i) fn.code.push_back(alu(0, regs[static_cast<size_t>(i)], 0));
   auto alloc = allocate_registers(fn);
   EXPECT_EQ(alloc.num_spill_slots, 0);
-  EXPECT_EQ(alloc.assignment.size(), 10u);
+  EXPECT_EQ(count_homes(alloc, Kind::kRegister), 10u);
 }
 
 TEST(RegAllocTest, SpillsUnderPressure) {
@@ -100,12 +108,12 @@ TEST(RegAllocTest, SpillsUnderPressure) {
   // All six live simultaneously at the end.
   for (int i = 0; i < 6; ++i) fn.code.push_back(alu(0, regs[static_cast<size_t>(i)], 0));
   auto alloc = allocate_registers(fn, config);
-  EXPECT_EQ(alloc.assignment.size() + alloc.spill_slot.size(), 6u);
+  EXPECT_EQ(count_homes(alloc, Kind::kRegister) + count_homes(alloc, Kind::kSlot), 6u);
   EXPECT_EQ(alloc.num_spill_slots, 3);
   // Assigned registers come from the pool.
-  for (const auto& [vreg, phys] : alloc.assignment) {
-    (void)vreg;
-    EXPECT_TRUE(phys == 5 || phys == 6 || phys == 7);
+  for (const auto& home : alloc.homes) {
+    if (home.kind != Kind::kRegister) continue;
+    EXPECT_TRUE(home.phys == 5 || home.phys == 6 || home.phys == 7);
   }
 }
 
@@ -126,10 +134,13 @@ TEST(RegAllocTest, NoTwoLiveVregsShareARegister) {
     for (size_t j = i + 1; j < intervals.size(); ++j) {
       const auto& a = intervals[i];
       const auto& b = intervals[j];
-      if (!alloc.assignment.contains(a.vreg) || !alloc.assignment.contains(b.vreg)) continue;
+      if (alloc.home(a.vreg).kind != Kind::kRegister ||
+          alloc.home(b.vreg).kind != Kind::kRegister) {
+        continue;
+      }
       const bool overlap = a.start <= b.end && b.start <= a.end;
       if (overlap) {
-        EXPECT_NE(alloc.assignment.at(a.vreg), alloc.assignment.at(b.vreg))
+        EXPECT_NE(alloc.home(a.vreg).phys, alloc.home(b.vreg).phys)
             << "vregs " << a.vreg << " and " << b.vreg << " overlap";
       }
     }
@@ -153,7 +164,7 @@ TEST(RegAllocTest, DisjointSpilledRangesShareASlot) {
     for (int i = 0; i < 3; ++i) fn.code.push_back(alu(0, regs[static_cast<size_t>(i)], 0));
   }
   auto alloc = allocate_registers(fn, config);
-  const size_t stack_served = alloc.spill_slot.size() + alloc.split.size();
+  const size_t stack_served = count_homes(alloc, Kind::kSlot) + count_homes(alloc, Kind::kSplit);
   ASSERT_GE(stack_served, 2u) << "each cluster must push one value to the stack";
   EXPECT_EQ(alloc.num_spill_slots, 1) << "disjoint spill lifetimes must share one slot";
 }
@@ -180,11 +191,11 @@ TEST(RegAllocTest, LongLivedSingleDefValueIsSplitNotSpilled) {
   auto alloc = allocate_registers(fn, config);
   ASSERT_TRUE(alloc.is_split(early))
       << "single-def long-gap interval should split, not spill whole";
-  const auto& split = alloc.split.at(early);
+  const auto& split = alloc.home(early);
   EXPECT_TRUE(split.phys == 5 || split.phys == 6);
   EXPECT_GT(split.split_pos, 1) << "register must cover the early use";
   EXPECT_GE(split.slot, 0);
-  EXPECT_FALSE(alloc.assignment.contains(early));
+  EXPECT_NE(alloc.home(early).kind, Kind::kRegister);
   EXPECT_FALSE(alloc.is_spilled(early));
   EXPECT_GE(alloc.num_spill_slots, 1);
 }
@@ -196,10 +207,58 @@ TEST(RegAllocTest, FloatAndIntPoolsAreIndependent) {
   fn.code.push_back(fpu(fv, fv, fv));
   fn.code.push_back(alu(0, iv, 0));
   auto alloc = allocate_registers(fn);
-  ASSERT_TRUE(alloc.assignment.contains(iv));
-  ASSERT_TRUE(alloc.assignment.contains(fv));
-  EXPECT_LT(alloc.assignment.at(iv), kPhysFloatBase);
-  EXPECT_GE(alloc.assignment.at(fv), kPhysFloatBase);
+  ASSERT_EQ(alloc.home(iv).kind, Kind::kRegister);
+  ASSERT_EQ(alloc.home(fv).kind, Kind::kRegister);
+  EXPECT_LT(alloc.home(iv).phys, kPhysFloatBase);
+  EXPECT_GE(alloc.home(fv).phys, kPhysFloatBase);
+}
+
+TEST(RegAllocTest, EveryVregHasOneHomeAndUnusedOnesNone) {
+  RegAllocConfig config;
+  config.int_regs = {5, 6, 7};
+  MFunction fn;
+  const int unused = fn.new_vreg();  // handed out, never accessed
+  std::vector<int> regs;
+  for (int i = 0; i < 6; ++i) {
+    regs.push_back(fn.new_vreg());
+    fn.code.push_back(alu(regs.back(), 0, 0));
+  }
+  for (int i = 0; i < 6; ++i) fn.code.push_back(alu(0, regs[static_cast<size_t>(i)], 0));
+  auto alloc = allocate_registers(fn, config);
+  ASSERT_EQ(alloc.homes.size(), 7u);
+  EXPECT_EQ(alloc.home(unused).kind, Kind::kNone);
+  for (const int r : regs) {
+    const VregHome& h = alloc.home(r);
+    EXPECT_NE(h.kind, Kind::kNone);
+    EXPECT_EQ(h.phys >= 0, h.kind == Kind::kRegister || h.kind == Kind::kSplit) << r;
+    EXPECT_EQ(h.slot >= 0, h.kind == Kind::kSlot || h.kind == Kind::kSplit) << r;
+  }
+}
+
+TEST(RegAllocTest, MaxPressureOnlyWithASinkAndHomesUnchanged) {
+  RegAllocConfig config;
+  config.int_regs = {5, 6};
+  MFunction fn;
+  std::vector<int> regs;
+  for (int i = 0; i < 4; ++i) {
+    regs.push_back(fn.new_vreg());
+    fn.code.push_back(alu(regs.back(), 0, 0));
+  }
+  for (int i = 0; i < 4; ++i) fn.code.push_back(alu(0, regs[static_cast<size_t>(i)], 0));
+  const auto quiet = allocate_registers(fn, config);
+  RemarkSink sink;
+  const auto noted = allocate_registers(fn, config, &sink);
+  EXPECT_EQ(quiet.max_pressure, -1);
+  EXPECT_EQ(noted.max_pressure, 4);
+  EXPECT_FALSE(sink.remarks.empty());
+  EXPECT_EQ(quiet.num_spill_slots, noted.num_spill_slots);
+  ASSERT_EQ(quiet.homes.size(), noted.homes.size());
+  for (size_t k = 0; k < quiet.homes.size(); ++k) {
+    EXPECT_EQ(quiet.homes[k].kind, noted.homes[k].kind) << k;
+    EXPECT_EQ(quiet.homes[k].phys, noted.homes[k].phys) << k;
+    EXPECT_EQ(quiet.homes[k].split_pos, noted.homes[k].split_pos) << k;
+    EXPECT_EQ(quiet.homes[k].slot, noted.homes[k].slot) << k;
+  }
 }
 
 }  // namespace

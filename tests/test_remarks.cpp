@@ -6,14 +6,17 @@
 // byte-gated stats).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 
+#include "codegen/codegen.hpp"
 #include "common/log.hpp"
 #include "runtime/kernel_cache.hpp"
 #include "same_document.hpp"
 #include "suite/report.hpp"
 #include "suite/runner.hpp"
+#include "suite/suite.hpp"
 
 namespace fgpu::suite {
 namespace {
@@ -177,6 +180,29 @@ TEST(Remarks, PerPassTelemetryTelescopesExactly) {
 }
 
 // Every remark carries resolvable provenance and a well-formed action.
+// The allocator computes max_pressure only for a remark sink; with remarks
+// on, the regalloc stage still reports it and emit repeats it as `before`.
+TEST(Remarks, MaxPressureReachesRegallocAndEmitTelemetry) {
+  const auto bench = shared_benchmark("lud");
+  for (const auto& kernel : bench->module.kernels) {
+    for (int opt : {0, 1, 2}) {
+      codegen::Options options;
+      options.opt_level = opt;
+      options.collect_remarks = true;
+      auto compiled = codegen::compile_kernel(kernel, options);
+      ASSERT_TRUE(compiled.is_ok()) << kernel.name << " -O" << opt;
+      const auto& passes = compiled->report.passes;
+      const auto ra = std::find_if(passes.begin(), passes.end(),
+                                   [](const auto& p) { return p.pass == "regalloc"; });
+      ASSERT_NE(ra, passes.end()) << kernel.name << " -O" << opt;
+      EXPECT_GT(ra->after.max_pressure, 0) << kernel.name << " -O" << opt;
+      ASSERT_EQ(passes.back().pass, "emit");
+      EXPECT_EQ(passes.back().before.max_pressure, ra->after.max_pressure)
+          << kernel.name << " -O" << opt;
+    }
+  }
+}
+
 TEST(Remarks, EveryRemarkHasProvenanceAndAction) {
   Log::level() = LogLevel::kOff;
   auto options = remark_options(2);

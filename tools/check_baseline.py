@@ -41,6 +41,10 @@ Schema lint (--schema-list): every listed document must carry a "schema"
 field whose value is in SCHEMAS (the OBSERVABILITY.md schema index), so a
 new exporter cannot ship an unregistered or typo'd tag.
 
+A document that cannot be opened or parsed fails the gate with one
+`check_baseline: PATH: cannot read (reason)` line (in --schema-list mode,
+as one of its failures).
+
 tools/gate_selftest.py plants drifts into copies of each golden and proves
 the gate fails on each and names it. Stdlib only.
 """
@@ -123,18 +127,28 @@ def first_line_difference(base_text, cur_text):
     return next((n, b, c) for n, (b, c) in enumerate(lines, 1) if b != c)
 
 
+class Unreadable(Exception):
+    """A document that cannot be opened or parsed; the message names it."""
+
+
+def read(path):
+    """Returns the text of the document at PATH and its parsed JSON."""
+    try:
+        with open(path) as f:
+            text = f.read()
+        return text, json.loads(text)
+    except (OSError, ValueError) as e:
+        raise Unreadable(f"{path}: cannot read ({e})") from None
+
+
 def load(path):
-    with open(path) as f:
-        return json.load(f)
+    return read(path)[1]
 
 
 def check_pair(base_path, cur_path):
     """GATING comparison of CUR against the golden BASE. Returns failures."""
-    with open(base_path) as f:
-        base_text = f.read()
-    with open(cur_path) as f:
-        cur_text = f.read()
-    base, cur = json.loads(base_text), json.loads(cur_text)
+    base_text, base = read(base_path)
+    cur_text, cur = read(cur_path)
     tag = (base.get("schema") if isinstance(base, dict) else None) or base_path
     kind = tag.split(".")[1] if tag.count(".") == 2 else tag
 
@@ -225,8 +239,8 @@ def check_schema_list(paths):
     for path in paths:
         try:
             doc = load(path)
-        except (OSError, json.JSONDecodeError) as e:
-            failures.append(f"schema-list: {path}: unreadable ({e})")
+        except Unreadable as e:
+            failures.append(f"schema-list: {e}")
             continue
         tag = doc.get("schema") if isinstance(doc, dict) else None
         if tag is None:
@@ -256,17 +270,24 @@ def main():
     if args.schema_list:
         if docs or args.turbo_digests:
             parser.error("--schema-list takes no other arguments")
-        failures = check_schema_list(args.schema_list)
     elif args.turbo_digests:
         if len(docs) != 2:
             parser.error("--turbo-digests takes exactly two documents")
-        failures = check_turbo_digests(load(docs[0]), load(docs[1]))
-    else:
-        if not docs or len(docs) % 2:
-            parser.error("expected BASE CUR pairs")
-        failures = []
-        for base, cur in zip(docs[::2], docs[1::2]):
-            failures += check_pair(base, cur)
+    elif not docs or len(docs) % 2:
+        parser.error("expected BASE CUR pairs")
+
+    try:
+        if args.schema_list:
+            failures = check_schema_list(args.schema_list)
+        elif args.turbo_digests:
+            failures = check_turbo_digests(load(docs[0]), load(docs[1]))
+        else:
+            failures = []
+            for base, cur in zip(docs[::2], docs[1::2]):
+                failures += check_pair(base, cur)
+    except Unreadable as e:
+        print(f"check_baseline: {e}", file=sys.stderr)
+        return 1
 
     if failures:
         print(f"check_baseline: {len(failures)} failure(s):", file=sys.stderr)

@@ -20,6 +20,10 @@ benchmarks, each with vortex and turbo entries) go through --turbo-digests:
 the clean pair must pass, and each planted fault must fail with its own
 message.
 
+Unreadable cases: a missing document and one holding malformed JSON, in
+pair mode and in --turbo-digests mode. Each must fail with a
+`check_baseline: PATH: cannot read (...)` line, not a Python traceback.
+
 Stdlib only.
 
   python3 tools/gate_selftest.py
@@ -364,19 +368,43 @@ def digest_cases(tmp):
     return len(cases), failures
 
 
+# ---------------------------------------------------------------------------
+# Unreadable cases: the failure names the document, with no traceback.
+
+def unreadable_cases(tmp):
+    golden = os.path.join(ROOT, "BENCH_fig7.json")
+    missing = os.path.join(tmp, "nothere.json")
+    malformed = os.path.join(tmp, "malformed.json")
+    with open(malformed, "w") as f:
+        f.write("{bad")
+    cases = [
+        ("pair, missing", [golden, missing], missing),
+        ("pair, malformed", [golden, malformed], malformed),
+        ("digests, missing", [golden, missing, "--turbo-digests"], missing),
+        ("digests, malformed", [malformed, golden, "--turbo-digests"], malformed),
+    ]
+    failures = []
+    for label, args, bad in cases:
+        rc, _, output = run_gate(args)
+        if rc != 1 or f"check_baseline: {bad}: cannot read (" not in output or \
+                "Traceback" in output:
+            failures.append(f"unreadable {label}: exit {rc} (want 1), output:\n{output}")
+    return len(cases), failures
+
+
 def main():
     counts = []
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
-        for cases in (golden_cases, spearman_cases, digest_cases):
+        for cases in (golden_cases, spearman_cases, digest_cases, unreadable_cases):
             count, found = cases(tmp)
             counts.append(count)
             failures += found
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     if not failures:
-        print(f"gate self-test: {counts[0]} golden cases, {counts[1]} Spearman cases and "
-              f"{counts[2]} digest cases as expected")
+        print(f"gate self-test: {counts[0]} golden cases, {counts[1]} Spearman cases, "
+              f"{counts[2]} digest cases and {counts[3]} unreadable cases as expected")
     return 1 if failures else 0
 
 
